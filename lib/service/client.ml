@@ -279,23 +279,26 @@ let submit_retry ?(qos = Protocol.Gold) ?(retries = 3) ?(retry_budget_s = 60.)
   go 1 0.
 
 (* Poll until the daemon answers a ping — the "wait for the socket to
-   exist" helper every embedder needs. *)
+   exist" helper every embedder needs.  The poll step starts at 1 ms
+   and doubles up to 50 ms: a daemon that comes up in a few
+   milliseconds is seen then, not a whole 50 ms step later. *)
 let wait_ready ?(timeout_s = 10.) ~socket () =
   let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
+  let rec go step =
     if Unix.gettimeofday () > deadline then false
     else
-      match connect ~socket with
-      | c ->
-        let ok = ping c in
-        close c;
-        if ok then true
-        else begin
-          Thread.delay 0.05;
-          go ()
-        end
-      | exception _ ->
-        Thread.delay 0.05;
-        go ()
+      let up =
+        match connect ~socket with
+        | c ->
+          let ok = ping c in
+          close c;
+          ok
+        | exception _ -> false
+      in
+      up
+      || begin
+           Thread.delay step;
+           go (Float.min 0.05 (step *. 2.))
+         end
   in
-  go ()
+  go 0.001

@@ -100,4 +100,5 @@ val submit_retry :
 val drain : ?timeout_s:float -> conn -> (unit, submit_error) result
 
 val wait_ready : ?timeout_s:float -> socket:string -> unit -> bool
-(** Poll until the daemon answers a ping (default 10s). *)
+(** Poll until the daemon answers a ping (default 10s).  The poll step
+    starts at 1 ms and doubles up to 50 ms. *)

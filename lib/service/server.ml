@@ -130,6 +130,11 @@ type t = {
   mutable conns : conn list;
   mutable last_activity : float;
   stop_req : bool Atomic.t;  (* set from the SIGTERM handler *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+      (* the progress sampler's wake channel, a self-pipe: one per
+         server, made at [create], so running a job never needs a
+         fresh descriptor *)
   (* health gauges (all under [mu]) *)
   started : float;
   mutable overload : Protocol.overload_state;
@@ -276,6 +281,9 @@ let create cfg =
   let jrnl =
     Journal.openj ?fsync:cfg.sc_fsync ~resume:cfg.sc_resume cfg.sc_journal_dir
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let t =
     {
       cfg;
@@ -291,6 +299,8 @@ let create cfg =
       conns = [];
       last_activity = now ();
       stop_req = Atomic.make false;
+      wake_r;
+      wake_w;
       started = now ();
       overload = Protocol.Normal;
       shed_total = 0;
@@ -351,6 +361,38 @@ let notify_waiters t job frame =
   let waiters = locked t (fun () -> job.jb_waiters) in
   List.iter (fun c -> send c frame) waiters
 
+(* The progress cadence: one frame per period while the job's tick
+   counter advances. *)
+let progress_period_s = 0.25
+
+(* Wait until [deadline] or until the executor writes the wake pipe,
+   whichever comes first.  A signal landing mid-wait (the SIGTERM
+   handler) resumes the wait: only the wake may cut a period short. *)
+let rec await_wake t deadline =
+  let left = deadline -. now () in
+  if left > 0. then
+    try ignore (Unix.select [ t.wake_r ] [] [] left)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> await_wake t deadline
+
+(* A failed wake write only costs the sampler the rest of its period,
+   so it is not an error. *)
+let wake t =
+  try ignore (Unix.single_write_substring t.wake_w "w" 0 1)
+  with Unix.Unix_error _ -> ()
+
+(* Empty the pipe once the sampler is joined, so this job's wake cannot
+   cut the next job's first period short. *)
+let drain_wake t =
+  let buf = Bytes.create 8 in
+  let rec go () =
+    match Unix.read t.wake_r buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | _ -> go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error _ -> ()  (* EAGAIN: empty *)
+  in
+  go ()
+
 let run_job t job =
   (* The chaos/test hook: an artificial pre-exploration delay makes
      "kill the client mid-job" and "fill the queue" deterministic.  It
@@ -379,14 +421,21 @@ let run_job t job =
   in
   (* Progress frames ride a side thread: the tick hook runs on worker
      domains inside the exploration and must stay allocation-trivial,
-     so it only bumps an atomic that this thread samples. *)
+     so it only bumps an atomic that this thread samples.  The
+     executor joins the sampler before it sends the verdict, which is
+     what keeps every progress frame ahead of the verdict; so the
+     sampler's wait between samples must be interruptible.  A plain
+     sleep would hold each verdict until the current period ended, a
+     fixed quarter-second on jobs that explore in milliseconds.  It
+     waits on the server's wake pipe instead, which the executor
+     writes as soon as the engine returns. *)
   let progressing = Atomic.make true in
   let progress_thread =
     Thread.create
       (fun () ->
         let last = ref 0 in
         while Atomic.get progressing do
-          Thread.delay 0.25;
+          await_wake t (now () +. progress_period_s);
           let n = Atomic.get job.jb_ticks in
           if n > !last && Atomic.get progressing then begin
             last := n;
@@ -405,7 +454,9 @@ let run_job t job =
     with e -> Error (Crash.of_exn e)
   in
   Atomic.set progressing false;
+  wake t;
   Thread.join progress_thread;
+  drain_wake t;
   let elapsed_s = now () -. started in
   let fresh_units = Journal.completed_units t.jrnl - units0 in
   let frame =
@@ -791,4 +842,5 @@ let run t =
     (fun c -> try Unix.shutdown c.cn_fd Unix.SHUTDOWN_ALL with _ -> ())
     conns;
   List.iter (fun th -> try Thread.join th with _ -> ()) !conn_threads;
+  List.iter (fun fd -> try Unix.close fd with _ -> ()) [ t.wake_r; t.wake_w ];
   Journal.close t.jrnl

@@ -236,15 +236,37 @@ let test_jobs_json_schema () =
 
 (* --- the daemon end to end ------------------------------------------- *)
 
+(* Submit and time one job, submit to verdict. *)
+let timed_submit ?qos cn ~case =
+  let t0 = Unix.gettimeofday () in
+  match Client.submit ?qos cn ~case with
+  | Ok v -> (v, Unix.gettimeofday () -. t0)
+  | Error e -> failf "submit %s: %a" case Client.pp_submit_error e
+
+(* The first submission at each tier is a cold job (three distinct
+   digests), and a near-free row's cold verdict must not wait out a
+   progress period: the median stays well under the 0.25 s period. *)
 let test_serve_cold_then_memo () =
   with_server ~tag:"memo" (fun ~socket ~dir:_ ->
       let cn = Client.connect ~socket in
-      (match Client.submit cn ~case:"CAS-lock" with
-      | Ok v ->
-        check "cold verdict is not a memo" false v.Client.v_memo;
-        check "cold run adds durable units" true (v.Client.v_fresh_units > 0);
-        check "verdict ok" true (v.Client.v_status = 0)
-      | Error e -> failf "cold submit: %a" Client.pp_submit_error e);
+      let v, gold_s = timed_submit cn ~case:"CAS-lock" in
+      check "cold verdict is not a memo" false v.Client.v_memo;
+      check "cold run adds durable units" true (v.Client.v_fresh_units > 0);
+      check "verdict ok" true (v.Client.v_status = 0);
+      let cold_s =
+        gold_s
+        :: List.map
+             (fun qos ->
+               let v, s = timed_submit ~qos cn ~case:"CAS-lock" in
+               check "lower-tier cold verdict ok" true (v.Client.v_status = 0);
+               s)
+             [ Protocol.Silver; Protocol.Bronze ]
+      in
+      let median = List.nth (List.sort compare cold_s) 1 in
+      if median >= 0.2 then
+        failf "cold median %.3f s (gold/silver/bronze: %s): held for a tick"
+          median
+          (String.concat "/" (List.map (Printf.sprintf "%.3f") cold_s));
       (match Client.submit cn ~case:"CAS-lock" with
       | Ok v ->
         check "second submission is memoized" true v.Client.v_memo;
@@ -259,6 +281,31 @@ let test_serve_cold_then_memo () =
         check "status carries the drain flag" true
           (Option.bind (Json.member "draining" v) Json.to_bool = Some false)
       | Error e -> failf "status: %a" Client.pp_submit_error e);
+      Client.close cn)
+
+(* The progress contract (docs/SERVICE.md §2): a job exploring for
+   several periods streams progress frames with growing states counts,
+   and none follows its verdict.  Bronze bounds Ticketed lock at 5 s.
+   A late progress frame would be read as the answer to the ping. *)
+let test_progress_contract () =
+  with_server ~tag:"progress" (fun ~socket ~dir:_ ->
+      let cn = Client.connect ~socket in
+      let seen = ref [] in
+      (match
+         Client.submit ~qos:Protocol.Bronze ~timeout_s:120.
+           ~on_progress:(fun n -> seen := n :: !seen)
+           cn ~case:"Ticketed lock"
+       with
+      | Ok v ->
+        check "bronze verdict is verified or degraded" true
+          (v.Client.v_status = 0 || v.Client.v_status = 2)
+      | Error e -> failf "bronze Ticketed lock: %a" Client.pp_submit_error e);
+      let counts = List.rev !seen in
+      check "at least one progress frame" true (counts <> []);
+      check "states counts are positive" true (List.for_all (( < ) 0) counts);
+      check "states counts never decrease" true
+        (List.sort compare counts = counts);
+      check "no progress frame after the verdict" true (Client.ping cn);
       Client.close cn)
 
 (* M clients race the same digest: exactly one exploration runs and all
@@ -683,6 +730,8 @@ let suite =
       test_jobs_json_schema;
     Alcotest.test_case "serve: cold then memoized verdict" `Quick
       test_serve_cold_then_memo;
+    Alcotest.test_case "serve: progress frames, none after the verdict" `Quick
+      test_progress_contract;
     Alcotest.test_case "serve: M clients, one exploration" `Quick
       test_concurrent_same_digest;
     Alcotest.test_case "serve: shed past the queue bound" `Quick
