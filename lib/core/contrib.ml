@@ -33,13 +33,22 @@ let join_all cs = List.fold_left (fun acc c -> Option.bind acc (join c)) (Some e
 
 let is_empty (c : t) = Label.Map.for_all (fun _ a -> Aux.is_unit a) c
 
+(* Pointwise [Aux.equal] of {!get} over the union of the labels, without
+   building it: every binding of [c1] against [c2]'s (a missing one is
+   [Unit]), then every binding of [c2] missing from [c1] against [Unit].
+   Only the structural [Unit] equals a missing binding; [Nat 0] or an
+   empty [Set] does not.  Physically shared maps and bindings — the
+   labels a move left alone — compare in O(1). *)
 let equal (c1 : t) (c2 : t) =
-  let labels =
-    Label.Set.union
-      (Label.Set.of_list (Label.Map.keys c1))
-      (Label.Set.of_list (Label.Map.keys c2))
-  in
-  Label.Set.for_all (fun l -> Aux.equal (get l c1) (get l c2)) labels
+  let is_unit = function Aux.Unit -> true | _ -> false in
+  c1 == c2
+  || Label.Map.for_all
+       (fun l a ->
+         match Label.Map.find l c2 with
+         | b -> Aux.equal a b
+         | exception Not_found -> is_unit a)
+       c1
+     && Label.Map.for_all (fun l b -> is_unit b || Label.Map.mem l c1) c2
 
 (* A binding to the structural [Aux.Unit] is indistinguishable from a
    missing one (see {!get}), so comparisons and hashing go through this

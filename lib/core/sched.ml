@@ -165,7 +165,9 @@ let ghost msg = Norm_crash (Crash.make Crash.Ghost_algebra msg)
 
 (* Eager administrative reduction: monadic redexes, joins, hide
    installation/uninstallation.  Returns a tree whose every leaf is an
-   [RAct] (or the whole tree is [RRet]). *)
+   [RAct] (or the whole tree is [RRet]).  A subtree with nothing to
+   reduce comes back physically unchanged, so a configuration's key can
+   reuse the parent's for every part a move did not touch. *)
 let rec normalize : type a. genv -> Contrib.t -> a rt -> a norm =
  fun genv mine rt ->
   match rt with
@@ -175,20 +177,23 @@ let rec normalize : type a. genv -> Contrib.t -> a rt -> a norm =
     match normalize genv mine p with
     | Norm_crash _ as c -> c
     | Norm (genv, mine, RRet v) -> normalize genv mine (inject (k v))
-    | Norm (genv, mine, p') -> Norm (genv, mine, RBind (p', k)))
+    | Norm (genv, mine, p') ->
+      Norm (genv, mine, if p' == p then rt else RBind (p', k)))
   | RPar (l, cl, r, cr) -> (
     match normalize genv cl l with
     | Norm_crash _ as c -> c
-    | Norm (genv, cl, l') -> (
+    | Norm (genv, cl', l') -> (
       match normalize genv cr r with
       | Norm_crash _ as c -> c
-      | Norm (genv, cr, r') -> (
+      | Norm (genv, cr', r') -> (
         match (l', r') with
         | RRet vl, RRet vr -> (
-          match Contrib.join_all [ mine; cl; cr ] with
+          match Contrib.join_all [ mine; cl'; cr' ] with
           | Some mine -> Norm (genv, mine, RRet (vl, vr))
           | None -> ghost "par join: incompatible contributions")
-        | _ -> Norm (genv, mine, RPar (l', cl, r', cr)))))
+        | _ ->
+          let same = l' == l && cl' == cl && r' == r && cr' == cr in
+          Norm (genv, mine, if same then rt else RPar (l', cl', r', cr')))))
   | RParP (split, p, q) -> (
     match split mine with
     | None -> ghost "par: requested fork split unavailable"
@@ -202,7 +207,8 @@ let rec normalize : type a. genv -> Contrib.t -> a rt -> a norm =
     match normalize genv mine body with
     | Norm_crash _ as c -> c
     | Norm (genv, mine, RRet v) -> uninstall genv mine spec v
-    | Norm (genv, mine, body') -> Norm (genv, mine, RHideI (spec, body')))
+    | Norm (genv, mine, body') ->
+      Norm (genv, mine, if body' == body then rt else RHideI (spec, body')))
 
 (* Installation (Section 3.5): carve the decorated subheap out of this
    thread's private heap and erect the new concurroid's slice over it,
@@ -538,9 +544,22 @@ let env_moves genv mine rt =
 
 let stuck_closure_cap = 512
 
+(* [Label.Map.equal Heap.equal] without its enumeration cells: the same
+   label count, and every binding of [j1] bound in [j2] to an equal heap
+   ([Heap.equal] answers physically shared heaps in O(1)). *)
+let joints_equal (j1 : Heap.t Label.Map.t) j2 =
+  j1 == j2
+  || Label.Map.cardinal j1 = Label.Map.cardinal j2
+     && Label.Map.for_all
+          (fun l h ->
+            match Label.Map.find l j2 with
+            | h' -> Heap.equal h h'
+            | exception Not_found -> false)
+          j1
+
 let genv_same a b =
   a.ghash = b.ghash
-  && Label.Map.equal Heap.equal a.joints b.joints
+  && joints_equal a.joints b.joints
   && Contrib.equal a.jauxs b.jauxs
   && Contrib.equal a.ext_other b.ext_other
 
@@ -687,8 +706,10 @@ let deadlock_message genv mine rt =
    identifies the atoms: every structurally equal shape is represented
    by one physical node carrying its precomputed hash, so memo-table
    equality on the tree part degrades to pointer identity and hashing
-   to a field read. *)
-type rt_key = { kn : knode; kh : int }
+   to a field read.  [ks] says every atom id in the subtree is
+   immediate or registered (see [Keyer.stable]), so keying the same
+   objects again would return this very node. *)
+type rt_key = { kn : knode; kh : int; ks : bool }
 
 and knode =
   | KRet of int
@@ -756,13 +777,15 @@ module Keyer = struct
 
   let eq_fuel = 4096
 
-  let same (a : Obj.t) (b : Obj.t) = obj_eq (ref eq_fuel) a b
-
   type t = {
     buckets : (int, (Obj.t * int) list) Hashtbl.t;
     mutable next : int;
     mutable stored : int;
+    mutable ambiguous : bool;
+        (* an atom was registered after a comparison ran out of fuel *)
     kbuckets : (int, rt_key list) Hashtbl.t; (* hash-consed tree keys *)
+    mutable world : World.t; (* the last world keyed, and its atom ids *)
+    mutable world_ids : int list;
   }
 
   (* Registered atoms are kept alive for the whole exploration, so cap
@@ -774,8 +797,22 @@ module Keyer = struct
       buckets = Hashtbl.create 256;
       next = 0;
       stored = 0;
+      ambiguous = false;
       kbuckets = Hashtbl.create 256;
+      world = World.of_list [];
+      world_ids = [];
     }
+
+  (* The id of the newest registered atom equal to [o] in [bucket], or
+     [miss] if there is none; [miss] becomes -2 once a comparison has
+     run out of fuel (and so may have missed an equal atom). *)
+  let rec lookup o bucket miss =
+    match bucket with
+    | [] -> miss
+    | (o', id) :: rest ->
+      let fuel = ref eq_fuel in
+      if obj_eq fuel o o' then id
+      else lookup o rest (if !fuel > 0 then miss else -2)
 
   (* Immediates map to odd codes, registered blocks to even ones, so the
      two can never collide.  [Hashtbl.hash] is total (closures hash by
@@ -787,17 +824,31 @@ module Keyer = struct
     else begin
       let h = Hashtbl.hash o in
       let bucket = Option.value (Hashtbl.find_opt t.buckets h) ~default:[] in
-      match List.find_opt (fun (o', _) -> same o o') bucket with
-      | Some (_, id) -> id
-      | None ->
+      let found = lookup o bucket (-1) in
+      if found >= 0 then found
+      else begin
         let id = 2 * t.next in
         t.next <- t.next + 1;
         if t.stored < max_stored then begin
           Hashtbl.replace t.buckets h ((o, id) :: bucket);
-          t.stored <- t.stored + 1
+          t.stored <- t.stored + 1;
+          if found = -2 then t.ambiguous <- true
         end;
         id
+      end
     end
+
+  (* Immediate, or registered: ids are handed out in order and
+     registration stops for good at [max_stored]. *)
+  let registered id = id land 1 = 1 || id < 2 * max_stored
+
+  (* Whether [atom] would return [id] again for the object it was
+     computed for.  A registered object's lookup resolves to the newest
+     registered atom equal to it, and that stays the same one because
+     equality of runtime representations is an equivalence — unless a
+     comparison out of fuel let an equal atom register as new
+     ([ambiguous]); from then on nothing is reused. *)
+  let stable t id = id land 1 = 1 || (registered id && not t.ambiguous)
 
   (* Hash-consing of tree keys.  Children are compared by pointer only:
      [cons] is the sole constructor, so within one registry equal
@@ -830,37 +881,105 @@ module Keyer = struct
       ->
       false
 
+  let node_stable = function
+    | KRet i | KAct i -> registered i
+    | KBind (p, i) -> p.ks && registered i
+    | KPar (l, _, r, _) -> l.ks && r.ks
+    | KParP (s, p, q) -> registered s && registered p && registered q
+    | KHideP (s, b) -> registered s && registered b
+    | KHideI (s, b) -> registered s && b.ks
+
   let cons t kn =
     let h = node_hash kn in
     let bucket = Option.value (Hashtbl.find_opt t.kbuckets h) ~default:[] in
     match List.find_opt (fun k -> node_eq k.kn kn) bucket with
     | Some k -> k
     | None ->
-      let k = { kn; kh = h } in
+      let k = { kn; kh = h; ks = node_stable kn } in
       Hashtbl.replace t.kbuckets h (k :: bucket);
       k
+
+  (* The atom ids of a world's concurroids, in world order.  The world
+     changes only at hide installation and uninstallation, so the last
+     one's ids are kept and reused while [genv.world] is physically the
+     same. *)
+  let world_ids t w =
+    if w == t.world && not t.ambiguous then t.world_ids
+    else begin
+      let ids = List.map (fun c -> atom t (Obj.repr c)) (World.concurroids w) in
+      if List.for_all registered ids then begin
+        t.world <- w;
+        t.world_ids <- ids
+      end;
+      ids
+    end
 end
 
 type keyer = Keyer.t
 
 let new_keyer = Keyer.create
 
-let rec rt_key : type a. keyer -> a rt -> rt_key =
- fun kr rt ->
-  let atom v = Keyer.atom kr (Obj.repr v) in
-  match rt with
-  | RRet v -> Keyer.cons kr (KRet (atom v))
-  | RAct a -> Keyer.cons kr (KAct (atom a))
-  | RBind (p, k) -> Keyer.cons kr (KBind (rt_key kr p, atom k))
-  | RPar (l, cl, r, cr) ->
-    Keyer.cons kr (KPar (rt_key kr l, cl, rt_key kr r, cr))
-  | RParP (s, p, q) -> Keyer.cons kr (KParP (atom s, atom p, atom q))
-  | RHideP (s, b) -> Keyer.cons kr (KHideP (atom s, atom b))
-  | RHideI (s, b) -> Keyer.cons kr (KHideI (atom s, rt_key kr b))
+(* The previous key of a tree keyed from scratch. *)
+let no_prev = { kn = KRet (-1); kh = 0; ks = false }
 
-(* Hash-consed: one physical node per shape within a registry. *)
-let rt_key_equal (k1 : rt_key) (k2 : rt_key) = k1 == k2
-let rt_key_hash (k : rt_key) = k.kh
+(* The id of [v], reusing [i0] when [v] is physically the [v0] that [i0]
+   was computed for. *)
+let reuse_atom kr reuse (v : Obj.t) (v0 : Obj.t) i0 =
+  if reuse && v == v0 && Keyer.stable kr i0 then i0 else Keyer.atom kr v
+
+(* Keying is incremental along a move.  [prev] is the tree the move
+   started from and [pk] its key ([no_prev]: key from scratch).  The walk
+   follows [rt] and [prev] together: a physically unchanged subtree
+   reuses its key, a physically unchanged closure or action its atom id,
+   so a move pays for the part of the tree it rebuilt, not for the whole
+   tree.  Whatever is reused is what keying from scratch would return
+   (see [Keyer.stable]).  Children and atoms are keyed right to left, the
+   order keys were always built in, so atoms are numbered as before.
+   The pending forms [RParP]/[RHideP] never survive normalization and
+   are always keyed afresh. *)
+let rec key_tree : type a b. keyer -> b rt -> rt_key -> a rt -> rt_key =
+ fun kr prev pk rt ->
+  let reuse = pk != no_prev && not kr.Keyer.ambiguous in
+  if reuse && pk.ks && Obj.repr rt == Obj.repr prev then pk
+  else
+    match (rt, prev, pk.kn) with
+    | RRet v, RRet v0, KRet i0 ->
+      Keyer.cons kr (KRet (reuse_atom kr reuse (Obj.repr v) (Obj.repr v0) i0))
+    | RRet v, _, _ -> Keyer.cons kr (KRet (Keyer.atom kr (Obj.repr v)))
+    | RAct a, RAct a0, KAct i0 ->
+      Keyer.cons kr (KAct (reuse_atom kr reuse (Obj.repr a) (Obj.repr a0) i0))
+    | RAct a, _, _ -> Keyer.cons kr (KAct (Keyer.atom kr (Obj.repr a)))
+    | RBind (p, k), RBind (p0, k0), KBind (kp0, i0) ->
+      let i = reuse_atom kr reuse (Obj.repr k) (Obj.repr k0) i0 in
+      Keyer.cons kr (KBind (key_tree kr p0 kp0 p, i))
+    | RBind (p, k), _, _ ->
+      let i = Keyer.atom kr (Obj.repr k) in
+      Keyer.cons kr (KBind (key_tree kr p no_prev p, i))
+    | RPar (l, cl, r, cr), RPar (l0, _, r0, _), KPar (kl0, _, kr0, _) ->
+      let kright = key_tree kr r0 kr0 r in
+      Keyer.cons kr (KPar (key_tree kr l0 kl0 l, cl, kright, cr))
+    | RPar (l, cl, r, cr), _, _ ->
+      let kright = key_tree kr r no_prev r in
+      Keyer.cons kr (KPar (key_tree kr l no_prev l, cl, kright, cr))
+    | RHideI (s, b), RHideI (s0, b0), KHideI (is0, kb0) ->
+      let kb = key_tree kr b0 kb0 b in
+      Keyer.cons kr
+        (KHideI (reuse_atom kr reuse (Obj.repr s) (Obj.repr s0) is0, kb))
+    | RHideI (s, b), _, _ ->
+      let kb = key_tree kr b no_prev b in
+      Keyer.cons kr (KHideI (Keyer.atom kr (Obj.repr s), kb))
+    | RParP (s, p, q), _, _ ->
+      let iq = Keyer.atom kr (Obj.repr q) in
+      let ip = Keyer.atom kr (Obj.repr p) in
+      Keyer.cons kr (KParP (Keyer.atom kr (Obj.repr s), ip, iq))
+    | RHideP (s, b), _, _ ->
+      let ib = Keyer.atom kr (Obj.repr b) in
+      Keyer.cons kr (KHideP (Keyer.atom kr (Obj.repr s), ib))
+
+let rt_key ?prev kr rt =
+  match prev with
+  | None -> key_tree kr rt no_prev rt
+  | Some (rt0, k0) -> key_tree kr rt0 k0 rt
 
 type config_key = {
   ck_rt : rt_key;
@@ -873,18 +992,21 @@ type config_key = {
   ck_hash : int; (* precomputed: keys are hashed more than once *)
 }
 
-let config_key (kr : keyer) (genv : genv) (mine : Contrib.t) rt : config_key =
-  let ck_rt = rt_key kr rt in
-  let ck_world =
-    List.map (fun c -> Keyer.atom kr (Obj.repr c)) (World.concurroids genv.world)
-  in
+(* The key of a configuration whose tree is keyed [ck_rt].  Under POR,
+   the outcomes a configuration records depend on its sleep set (slept
+   subtrees are omitted), so memo entries are only replayable at the
+   same sleep context: the set joins the key.  Bitsets are canonical by
+   construction, so any two arrival orders of the same slept moves
+   produce equal keys with equal hashes. *)
+let key_of (kr : keyer) ck_rt (genv : genv) (mine : Contrib.t) sleep =
+  let ck_world = Keyer.world_ids kr genv.world in
   (* The shared-state hash is the genv's incrementally maintained
      fingerprint — no map re-folding here; only the (small) root
      contribution is hashed per key. *)
   let ck_hash =
     List.fold_left
       (fun acc w -> (acc * 33) lxor w)
-      ((((rt_key_hash ck_rt * 33) lxor genv.ghash) * 33) lxor Contrib.hash mine)
+      ((((ck_rt.kh * 33) lxor genv.ghash) * 33) lxor Contrib.hash mine)
       ck_world
   in
   {
@@ -894,39 +1016,37 @@ let config_key (kr : keyer) (genv : genv) (mine : Contrib.t) rt : config_key =
     ck_ext = genv.ext_other;
     ck_world;
     ck_mine = mine;
-    ck_sleep = Por.Sleepset.empty;
-    ck_hash;
+    ck_sleep = sleep;
+    ck_hash =
+      (if Por.Sleepset.is_empty sleep then ck_hash
+       else (ck_hash * 33) lxor Por.Sleepset.hash sleep);
   }
 
-(* Under POR, the outcomes a configuration records depend on its sleep
-   set (slept subtrees are omitted), so memo entries are only replayable
-   at the same sleep context: the set joins the key.  Bitsets are
-   canonical by construction, so any two arrival orders of the same
-   slept moves produce equal keys with equal hashes. *)
-let config_key_sleep kr genv mine rt sleep =
-  let k = config_key kr genv mine rt in
-  if Por.Sleepset.is_empty sleep then k
-  else
-    {
-      k with
-      ck_sleep = sleep;
-      ck_hash = (k.ck_hash * 33) lxor Por.Sleepset.hash sleep;
-    }
+let config_key ?prev kr genv mine rt =
+  key_of kr (rt_key ?prev kr rt) genv mine Por.Sleepset.empty
 
+let config_key_sleep kr genv mine rt sleep =
+  key_of kr (rt_key kr rt) genv mine sleep
+
+let config_key_rt k = k.ck_rt
 let config_key_hash k = k.ck_hash
 
+(* Every part tries physical equality first: a move leaves the parts it
+   did not touch physically shared. *)
 let config_key_equal k1 k2 =
   k1.ck_hash = k2.ck_hash
-  && rt_key_equal k1.ck_rt k2.ck_rt
-  && Label.Map.equal Heap.equal k1.ck_joints k2.ck_joints
+  && k1.ck_rt == k2.ck_rt
+  && joints_equal k1.ck_joints k2.ck_joints
   && Contrib.equal k1.ck_jauxs k2.ck_jauxs
   && Contrib.equal k1.ck_ext k2.ck_ext
-  && List.equal Int.equal k1.ck_world k2.ck_world
+  && (k1.ck_world == k2.ck_world
+     || List.equal Int.equal k1.ck_world k2.ck_world)
   && Contrib.equal k1.ck_mine k2.ck_mine
   && Por.Sleepset.equal k1.ck_sleep k2.ck_sleep
 
 let fingerprint kr genv mine rt = config_key_hash (config_key kr genv mine rt)
 
+(* Each distinct key has one slot: its entries, newest first. *)
 module Memo = Hashtbl.Make (struct
   type t = config_key
 
@@ -998,7 +1118,7 @@ type explore_stats = {
   mutable es_memo_hits : int; (* memoized subtrees replayed *)
   mutable es_memo_misses : int; (* configurations explored afresh *)
   mutable es_sleep_skips : int; (* subtrees the sleep set pruned *)
-  mutable es_max_bucket : int; (* worst memo hash-bucket collision depth *)
+  mutable es_max_bucket : int; (* most distinct keys in one memo bucket *)
   mutable es_minor_words : float; (* Gc.minor_words allocated exploring *)
 }
 
@@ -1183,7 +1303,9 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
       if !count >= max_outcomes then raise Stop
     in
     let keyer = Keyer.create () in
-    let memo : 'a memo_entry Memo.t = Memo.create (if dedup then 4096 else 1) in
+    let memo : 'a memo_entry list ref Memo.t =
+      Memo.create (if dedup then 4096 else 1)
+    in
     (* Subtree-need accounting: absolute-depth high-water mark, budget
        low-water mark, and whether the fuel limit was hit.  Saved and
        restored around every memoized subtree. *)
@@ -1198,10 +1320,12 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
       in
       aux n [] l
     in
+    (* [prev] and [pk] are the parent's normalized tree and its key
+       ([no_prev] at the root and without dedup), which keying reuses. *)
     let rec go :
         genv -> Contrib.t -> 'a rt -> int -> int -> string Lazy.t list ->
-        Por.Sleepset.t -> unit =
-     fun genv mine rt depth budget trace sleep ->
+        Por.Sleepset.t -> 'a rt -> rt_key -> unit =
+     fun genv mine rt depth budget trace sleep prev pk ->
       if depth > !deepest then deepest := depth;
       if budget < !shallow_budget then shallow_budget := budget;
       tick_budget ();
@@ -1222,16 +1346,22 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
           fuel_cut := true;
           record Diverged
         end
-        else if not dedup then branch genv mine rt depth budget trace sleep
+        else if not dedup then
+          branch genv mine rt depth budget trace sleep no_prev
         else begin
-          let key = config_key_sleep keyer genv mine rt sleep in
+          let kt = key_tree keyer prev pk rt in
+          let key = key_of keyer kt genv mine sleep in
           let remaining = fuel - depth in
+          let slot = Memo.find_opt memo key in
           match
-            List.find_opt
-              (fun e ->
-                (remaining >= e.e_need_fuel && budget >= e.e_need_env)
-                || (remaining = e.e_fuel && budget = e.e_budget))
-              (Memo.find_all memo key)
+            match slot with
+            | None -> None
+            | Some entries ->
+              List.find_opt
+                (fun e ->
+                  (remaining >= e.e_need_fuel && budget >= e.e_need_env)
+                  || (remaining = e.e_fuel && budget = e.e_budget))
+                !entries
           with
           | Some e ->
             (match stats with
@@ -1256,7 +1386,7 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
             deepest := depth;
             shallow_budget := budget;
             fuel_cut := false;
-            branch genv mine rt depth budget trace sleep;
+            branch genv mine rt depth budget trace sleep kt;
             (* Reached only when the subtree was exhausted without hitting
                [max_outcomes] (otherwise [Stop] has propagated), so the
                segment just recorded is complete and safe to replay. *)
@@ -1266,20 +1396,30 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
               else budget - !shallow_budget
             in
             let added = !count - n0 in
-            if added <= memo_store_cap then
-              Memo.add memo key
+            if added <= memo_store_cap then begin
+              let e =
                 {
                   e_fuel = remaining;
                   e_budget = budget;
                   e_need_fuel = need_fuel;
                   e_need_env = need_env;
                   e_outs = take_rev added !outcomes;
-                };
+                }
+              in
+              (* A subtree can revisit its own root's key deeper down and
+                 store it first, so an absent key is probed again. *)
+              let slot =
+                match slot with None -> Memo.find_opt memo key | Some _ -> slot
+              in
+              match slot with
+              | Some entries -> entries := e :: !entries
+              | None -> Memo.add memo key (ref [ e ])
+            end;
             deepest := max saved_deep !deepest;
             shallow_budget := min saved_low !shallow_budget;
             fuel_cut := saved_cut || !fuel_cut
         end
-    and branch genv mine rt depth budget trace sleep =
+    and branch genv mine rt depth budget trace sleep kt =
       let mvs = moves genv Contrib.empty mine rt in
       let envs =
         if interference && budget > 0 then env_moves_aux genv mine rt else []
@@ -1323,12 +1463,12 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
                 | None ->
                   go genv' mine' rt' (depth + 1) budget
                     (Lazy.from_val mv.mv_name :: trace)
-                    Por.Sleepset.empty))
+                    Por.Sleepset.empty rt kt))
             mvs;
           List.iter
             (fun ev ->
               go ev.ev_genv mine rt (depth + 1) (budget - 1) (ev.ev_name :: trace)
-                Por.Sleepset.empty)
+                Por.Sleepset.empty rt kt)
             envs
         | Some p ->
           (* Sleep-set reduction.  A slept move's subtree is exactly a
@@ -1401,7 +1541,8 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
                     | None -> ());
                     go genv' mine' rt' (depth + 1) budget
                       (Lazy.from_val mv.mv_name :: trace)
-                      (Por.restrict p !sleeping ~executed:id);
+                      (Por.restrict p !sleeping ~executed:id)
+                      rt kt;
                     sleeping := Por.Sleepset.add !sleeping id))
             mvs;
           List.iter
@@ -1414,14 +1555,18 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
               else begin
                 go ev.ev_genv mine rt (depth + 1) (budget - 1)
                   (ev.ev_name :: trace)
-                  (Por.restrict p !sleeping ~executed:id);
+                  (Por.restrict p !sleeping ~executed:id)
+                  rt kt;
                 sleeping := Por.Sleepset.add !sleeping id
               end)
             envs
       end
     in
     let complete =
-      match go genv0 mine0 (inject prog) 0 env_budget [] Por.Sleepset.empty with
+      let rt0 = inject prog in
+      match
+        go genv0 mine0 rt0 0 env_budget [] Por.Sleepset.empty rt0 no_prev
+      with
       | () -> true
       | exception Stop -> false
     in

@@ -85,16 +85,29 @@ type keyer
 
 val new_keyer : unit -> keyer
 
+type rt_key
+(** A hash-consed thread-tree key: within one keyer, equal tree shapes
+    have physically equal keys. *)
+
 type config_key
 
-val config_key : keyer -> genv -> Contrib.t -> 'a rt -> config_key
-(** The key of the configuration [(genv, mine, rt)]. *)
+val config_key :
+  ?prev:'a rt * rt_key -> keyer -> genv -> Contrib.t -> 'a rt -> config_key
+(** The key of the configuration [(genv, mine, rt)].  With
+    [~prev:(rt0, k0)], where [k0] is the tree key of [rt0] from the same
+    keyer, the tree key is built incrementally, as exploration builds
+    it along a move from [rt0]: every subtree, closure and action that
+    is physically one of [rt0]'s reuses its part of [k0].  The result
+    is physically the tree key built from scratch. *)
 
 val config_key_sleep :
   keyer -> genv -> Contrib.t -> 'a rt -> Por.Sleepset.t -> config_key
 (** {!config_key} refined by a POR sleep set: the memo key the
     POR-armed exploration uses.  Sleep sets are canonical bitsets, so
     two permutations of the same slept moves produce equal keys. *)
+
+val config_key_rt : config_key -> rt_key
+(** The key's tree part. *)
 
 val config_key_equal : config_key -> config_key -> bool
 val config_key_hash : config_key -> int
@@ -125,7 +138,8 @@ type explore_stats = {
   mutable es_memo_misses : int;  (** configurations explored afresh *)
   mutable es_sleep_skips : int;  (** subtrees the POR sleep set pruned *)
   mutable es_max_bucket : int;
-      (** worst memo hash-bucket collision depth observed *)
+      (** most distinct configuration keys observed in one memo hash
+          bucket *)
   mutable es_minor_words : float;
       (** [Gc.minor_words] allocated during exploration *)
 }

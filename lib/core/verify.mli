@@ -30,8 +30,9 @@ type expl_stats = {
   x_memo_misses : int;  (** cache misses (configurations actually expanded) *)
   x_sleep_skips : int;  (** subtrees skipped by sleep-set POR *)
   x_max_bucket : int;
-      (** deepest memo-table hash bucket observed — a collision-quality
-          probe for the hash-consed configuration keys *)
+      (** most distinct configuration keys observed in one memo-table
+          hash bucket — a collision-quality probe for the hash-consed
+          keys *)
   x_minor_words : float;
       (** [Gc.minor_words] delta over the explorations — the allocation
           cost of the hot path *)

@@ -53,6 +53,8 @@ let join_exn a b =
 let defined a b = Option.is_some (join a b)
 
 let rec equal a b =
+  a == b
+  ||
   match (a, b) with
   | Unit, Unit -> true
   | Nat m, Nat n -> Instances.Nat.equal m n

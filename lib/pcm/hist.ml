@@ -24,7 +24,8 @@ let entry ?(arg = Value.unit) ?(res = Value.unit) ?(state = Value.unit) op =
   { op; arg; res; state }
 
 let entry_equal e1 e2 =
-  String.equal e1.op e2.op
+  e1 == e2
+  || String.equal e1.op e2.op
   && Value.equal e1.arg e2.arg
   && Value.equal e1.res e2.res
   && Value.equal e1.state e2.state
@@ -71,7 +72,7 @@ let join_exn h1 h2 =
   | None -> invalid_arg "Hist.join_exn: overlapping timestamps"
 
 let unit = empty
-let equal (h1 : t) (h2 : t) = Int_map.equal entry_equal h1 h2
+let equal (h1 : t) (h2 : t) = h1 == h2 || Int_map.equal entry_equal h1 h2
 
 let entry_compare e1 e2 =
   let c = String.compare e1.op e2.op in
