@@ -383,83 +383,6 @@ let pp_engine_rows ppf rows =
     (tot (fun r -> r.er_dedup))
     (tot (fun r -> r.er_dedup_par))
 
-(* --- Pruning comparison: footprint-based env-step pruning on vs off.
-
-   Every Table 1 verification plus a synthetic entangled-client
-   scenario (a snapshot reader running next to an untouched SpanTree
-   concurroid — the configuration where pruning actually has env steps
-   to skip; the Table 1 drivers are single-label worlds, so pruning is
-   the identity there and the rows double as an overhead check).
-   Verdicts are cross-checked at (spec_name, ok) granularity: outcome
-   counts may legitimately shrink under pruning, verdicts may not. *)
-
-type prune_row = {
-  pr_name : string;
-  pr_base : float;
-  pr_pruned : float;
-  pr_verdicts_equal : bool;
-}
-
-let prune_verdicts reports =
-  List.map (fun (r : Verify.report) -> (r.Verify.spec_name, Verify.ok r)) reports
-
-(* The entangled client: read_pair against a two-concurroid world. *)
-let entangled_client () : Verify.report list =
-  let sp = Label.make "bench_ent_span" in
-  let w =
-    World.of_list
-      [ Snapshot.concurroid Snapshot.sp_label; Span.concurroid sp ]
-  in
-  let g =
-    Graph_catalog.graph_of
-      [ (Ptr.of_int 1, Ptr.of_int 2, Ptr.null);
-        (Ptr.of_int 2, Ptr.null, Ptr.null) ]
-  in
-  let span_slice =
-    Slice.make ~self:(Aux.set Ptr.Set.empty) ~joint:(Graph.to_heap g)
-      ~other:(Aux.set Ptr.Set.empty)
-  in
-  let init =
-    List.map (fun st -> State.add sp span_slice st) (Snapshot.init_states ())
-  in
-  [
-    Verify.check_triple ~fuel:14 ~env_budget:2 ~world:w ~init
-      (Snapshot.read_pair Snapshot.sp_label)
-      (Snapshot.read_pair_spec Snapshot.sp_label);
-  ]
-
-let prune_comparison () : prune_row list =
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let row name f =
-    let rb, tb = Verify.with_engine ~prune:false (fun () -> timed f) in
-    let rp, tp = Verify.with_engine ~prune:true (fun () -> timed f) in
-    {
-      pr_name = name;
-      pr_base = tb;
-      pr_pruned = tp;
-      pr_verdicts_equal = prune_verdicts rb = prune_verdicts rp;
-    }
-  in
-  List.map
-    (fun (c : Registry.case) -> row c.Registry.c_name c.Registry.c_verify)
-    Registry.all
-  @ [ row "entangled-snapshot" entangled_client ]
-
-let pp_prune_rows ppf rows =
-  Fmt.pf ppf "%-20s %11s %9s %9s %8s@." "Program" "no-prune" "pruned"
-    "speedup" "verdicts";
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "%-20s %10.3fs %8.3fs %8.2fx %8s@." r.pr_name r.pr_base
-        r.pr_pruned
-        (if r.pr_pruned > 0. then r.pr_base /. r.pr_pruned else nan)
-        (if r.pr_verdicts_equal then "equal" else "DIFFER"))
-    rows
-
 (* --- POR comparison: sleep-set partial-order reduction on vs off. ---
 
    Both arms run WITHOUT memoization: under dedup every distinct
@@ -483,6 +406,10 @@ type por_row = {
   po_full_minor_words : float; (* minor-heap allocation per arm *)
   po_por_minor_words : float;
 }
+
+(* What the arms must agree on: each spec's (name, ok) verdict. *)
+let spec_verdicts reports =
+  List.map (fun (r : Verify.report) -> (r.Verify.spec_name, Verify.ok r)) reports
 
 let por_reduction r =
   if r.po_por_states > 0 then
@@ -547,7 +474,7 @@ let por_comparison () : por_row list =
       po_por_states = report_states rp;
       po_full_s = tf;
       po_por_s = tp;
-      po_verdicts_equal = prune_verdicts rf = prune_verdicts rp;
+      po_verdicts_equal = spec_verdicts rf = spec_verdicts rp;
       po_sleep_skips = skips;
       po_full_minor_words =
         (match report_expl rf with
@@ -775,23 +702,6 @@ let write_bench_json ~path ~jobs (bench_rows : (string * float * float) list)
         (if i = List.length engine_rows - 1 then "" else ","))
     engine_rows;
   pr "    ]\n  }\n}\n";
-  close_out oc
-
-(* --- BENCH_analyze.json: the pruning record. --- *)
-
-let write_analyze_json ~path (rows : prune_row list) =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr "{\n  \"prune_comparison\": [\n";
-  List.iteri
-    (fun i r ->
-      pr
-        "    {\"name\": \"%s\", \"baseline_s\": %.4f, \"pruned_s\": %.4f, \
-         \"verdicts_equal\": %b}%s\n"
-        (json_escape r.pr_name) r.pr_base r.pr_pruned r.pr_verdicts_equal
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "  ]\n}\n";
   close_out oc
 
 (* --- BENCH_por.json: the partial-order-reduction record. --- *)
@@ -1335,11 +1245,6 @@ let () =
   Fmt.pr "%a@." pp_engine_rows engine_rows;
   write_bench_json ~path:"BENCH_explore.json" ~jobs bench_rows engine_rows;
   Fmt.pr "wrote BENCH_explore.json@.@.";
-  Fmt.pr "== Pruning comparison: footprint-based env-step pruning ==@.";
-  let prune_rows = prune_comparison () in
-  Fmt.pr "%a@." pp_prune_rows prune_rows;
-  write_analyze_json ~path:"BENCH_analyze.json" prune_rows;
-  Fmt.pr "wrote BENCH_analyze.json@.@.";
   run_por ();
   run_robust ();
   run_journal ();

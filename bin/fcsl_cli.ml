@@ -64,15 +64,6 @@ let no_dedup_flag =
            re-explore every interleaving naively (slower; useful for \
            cross-checking the memoized engine)")
 
-let prune_flag =
-  Arg.(
-    value & flag
-    & info [ "prune" ]
-        ~doc:
-          "Use inferred program/spec footprints to skip environment \
-           steps at labels outside the triple's envelope (sound: a \
-           dynamic monitor crashes the run if a footprint under-declares)")
-
 let por_flag =
   Arg.(
     value & flag
@@ -92,9 +83,9 @@ let deadline_arg =
     & info [ "deadline" ] ~docv:"SECS"
         ~doc:
           "Arm a wall-clock budget of $(docv) seconds per triple.  On \
-           exhaustion the verifier degrades (exhaustive, then \
-           footprint-pruned, then seeded sampling) instead of hanging, \
-           and exits 2 when the verdict is thereby inconclusive")
+           exhaustion the verifier degrades (exhaustive, then seeded \
+           sampling) instead of hanging, and exits 2 when the verdict \
+           is thereby inconclusive")
 
 let max_states_arg =
   Arg.(
@@ -180,7 +171,7 @@ let verify_cmd =
   let name_arg =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"NAME")
   in
-  let run name jobs no_dedup prune por deadline max_states max_heap_words seed
+  let run name jobs no_dedup por deadline max_states max_heap_words seed
       journal_dir resume fsync =
     let cases =
       match name with
@@ -225,7 +216,7 @@ let verify_cmd =
       cases;
     Fun.protect ~finally:(fun () -> Option.iter Journal.close journal)
     @@ fun () ->
-    Verify.with_engine ~dedup:(not no_dedup) ~prune ~por
+    Verify.with_engine ~dedup:(not no_dedup) ~por
       ~por_certs:(Fcsl_analysis.Independence.certs_all ())
       ?budget:(budget_of deadline max_states max_heap_words)
       ?seed ~journal
@@ -247,7 +238,7 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Mechanically verify case studies (all by default)")
     Term.(
-      const run $ name_arg $ jobs_arg $ no_dedup_flag $ prune_flag $ por_flag
+      const run $ name_arg $ jobs_arg $ no_dedup_flag $ por_flag
       $ deadline_arg $ max_states_arg $ max_heap_words_arg $ engine_seed_arg
       $ journal_arg $ resume_flag $ fsync_arg)
 
@@ -679,11 +670,12 @@ let table1_cmd =
       & info [ "stats" ]
           ~doc:
             "Also print the exploration-counter companion table: per row, \
-             memo hits/misses, POR sleep skips, worst memo-bucket depth, \
-             and minor-heap words allocated by the explorations")
+             memo hits/misses, POR sleep skips, the most distinct \
+             configuration keys in one memo bucket, and minor-heap words \
+             allocated by the explorations")
   in
-  let run jobs prune por stats =
-    Verify.with_engine ~prune ~por
+  let run jobs por stats =
+    Verify.with_engine ~por
       ~por_certs:(Fcsl_analysis.Independence.certs_all ())
     @@ fun () ->
     let rows = Tables.table1 ~jobs () in
@@ -696,7 +688,7 @@ let table1_cmd =
        ~doc:
          "Regenerate Table 1 (LoC statistics + verify times + explored \
           states)")
-    Term.(const run $ jobs_arg $ prune_flag $ por_flag $ stats_flag)
+    Term.(const run $ jobs_arg $ por_flag $ stats_flag)
 
 let table2_cmd =
   let run () =

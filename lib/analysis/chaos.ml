@@ -158,7 +158,7 @@ let outcome mode case (f : unit -> (string, string) result) : outcome =
 
 (* --- registry-wide modes -------------------------------------------- *)
 
-(* Re-verify a case with a tick hook injected through the engine-default
+(* Re-verify a case with a tick hook injected through the engine's
    budget (the hook makes the budget non-trivial, arming it on every
    [check_triple] without any actual ceiling). *)
 let verify_with_hook hook (c : Registry.case) =
@@ -333,9 +333,9 @@ let flaky_unsafe_read () =
     ()
 
 let sampled_spin ~seed ~try_lock ~read =
+  Verify.with_engine ~budget:Budget.no_limits ~seed @@ fun () ->
   Verify.check_triple_random ~fuel:400 ~trials:50 ~interference:false
-    ~budget:Budget.no_limits ~seed ~world:(C.world ())
-    ~init:(C.init_states ())
+    ~world:(C.world ()) ~init:(C.init_states ())
     (spin_incr ~try_lock ~read)
     (C.incr_spec C.label ())
 
@@ -386,9 +386,9 @@ let run_env_burst ?(seed = 1) () =
   let snapshot =
     outcome Env_burst "pair snapshot" (fun () ->
         let r =
+          Verify.with_engine ~budget:Budget.no_limits ~seed @@ fun () ->
           Verify.check_triple_random ~fuel:400 ~trials:60 ~interference:true
-            ~budget:Budget.no_limits ~seed ~world:(Snapshot.world ())
-            ~init:(Snapshot.init_states ())
+            ~world:(Snapshot.world ()) ~init:(Snapshot.init_states ())
             (Snapshot.read_pair Snapshot.sp_label)
             (Snapshot.read_pair_spec Snapshot.sp_label)
         in
@@ -399,9 +399,9 @@ let run_env_burst ?(seed = 1) () =
   let incr =
     outcome Env_burst "CG increment" (fun () ->
         let r =
+          Verify.with_engine ~budget:Budget.no_limits ~seed @@ fun () ->
           Verify.check_triple_random ~fuel:400 ~trials:60 ~interference:true
-            ~budget:Budget.no_limits ~seed ~world:(C.world ())
-            ~init:(C.init_states ())
+            ~world:(C.world ()) ~init:(C.init_states ())
             (C.incr C.label ())
             (C.incr_spec C.label ())
         in
@@ -599,7 +599,7 @@ let svc_paths tag =
    later [Service_kill9] fork in the same chaos run would be forbidden
    by the runtime — and the baseline of any case [f] compares against
    must be computed *before* this call: the executor thread and
-   [baseline] both go through the engine's process-global defaults. *)
+   [baseline] both read the one process-global engine. *)
 let with_server ?(job_delay_s = 0.) ?queue_bound ?overload_high ?overload_low
     ?rate ~tag f =
   let socket, dir = svc_paths tag in

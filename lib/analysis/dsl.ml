@@ -5,8 +5,8 @@
    of [Bind]/[Ffix] are [Top] unless an [Annot] declares otherwise.
    What the analyzer adds here is the lint that keeps declarations
    coherent: wherever an [Annot]'s subterm has a statically visible
-   footprint, the declaration must subsume it (the dynamic envelope
-   monitor covers the invisible parts at exploration time). *)
+   footprint, the declaration must subsume it (the invisible parts are
+   taken on trust). *)
 
 open Fcsl_core
 

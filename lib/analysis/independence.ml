@@ -25,9 +25,9 @@
       deterministic enumeration lives here; test/test_por.ml adds the
       QCheck property over random coherent states, and the registry-wide
       POR-vs-full differential is the end-to-end backstop — rule-2
-      claims are not runtime-monitored (the envelope monitor checks
-      footprints, not values), so they lean on this battery, exactly the
-      trust model of the analyzer's read-footprint claims.
+      claims are not runtime-monitored (the scheduler's POR confinement
+      check sees footprints, not values), so they lean on this battery,
+      exactly the trust model of the analyzer's read-footprint claims.
 
    3. indep-env — environment transitions at distinct labels.  An env
       step at label [l] rewrites the slice at [l] and nothing else

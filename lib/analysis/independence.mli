@@ -7,7 +7,7 @@
     Three justification rules, each with a stable id:
     - {!rule_fp} ["indep-fp"]: declared footprints commute
       ({!Fcsl_core.Footprint.commutes}) — dynamically guarded by the
-      scheduler's envelope monitor when POR is on;
+      scheduler's confinement check when POR is on;
     - {!rule_pcm} ["indep-pcm"]: same-label pairs whose contributions
       commute by the laws of the PCMs involved, certified by the law
       table plus an exhaustive step-commutation check over the case's
@@ -92,8 +92,8 @@ val certs : string -> string -> string -> bool
     footprints inside the scheduler). *)
 
 val certs_all : unit -> string -> string -> bool
-(** The registry-wide table the CLI installs as the engine default
-    ({!Fcsl_core.Verify.set_default_por_certs}) — one immutable closure
+(** The registry-wide table the CLI installs in the engine
+    ([Fcsl_core.Verify.with_engine ~por_certs]) — one immutable closure
     shared by all verification workers.  Intersection semantics: a name
     pair counts only when certified in {e every} case whose inventory
     mentions both names, so certification in one world never licenses a

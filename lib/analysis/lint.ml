@@ -57,7 +57,7 @@ let action_lint (w : World.t) (a : 'a Action.t) ~states : Diag.finding list =
 
 (* Dead labels: world labels no supplied program/spec footprint ever
    touches — harmless, but every env step at them is pure exploration
-   cost (exactly what the pruning oracle skips). *)
+   cost. *)
 let dead_labels (w : World.t) ~(used : Footprint.t) : Diag.finding list =
   match Footprint.labels used with
   | None -> [] (* unknown footprint: nothing provable *)

@@ -283,8 +283,7 @@ let read_pair_unchecked sp : (int * int) Prog.t =
    of the combined history somewhere between call and return (including
    the state at entry). *)
 let read_pair_spec sp : (int * int) Spec.t =
-  Spec.with_fp (Footprint.reads sp)
-  @@ Spec.make ~name:"read_pair"
+  Spec.make ~name:"read_pair"
     ~pre:(fun st ->
       match State.find sp st with Some s -> coh s | None -> false)
     ~post:(fun (a, b) st_i st_f ->
@@ -317,9 +316,8 @@ let read_pair_spec sp : (int * int) Spec.t =
 (* A writer's spec: its history gains exactly its own write. *)
 let write_spec sp cell v : unit Spec.t =
   let op = if Ptr.equal cell x_cell then "wx" else "wy" in
-  Spec.with_fp (Footprint.writes sp)
-  @@ Spec.make
-       ~name:(Fmt.str "write_%s(%d)" op v)
+  Spec.make
+    ~name:(Fmt.str "write_%s(%d)" op v)
     ~pre:(fun st ->
       match State.find sp st with
       | Some s -> coh s && Aux.is_unit (Slice.self s)

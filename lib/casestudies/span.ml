@@ -258,7 +258,7 @@ let span sp (root : Ptr.t) : bool Prog.t =
       else ret false
   in
   (* [ffix] is opaque to the footprint spine; declare the envelope the
-     body's actions establish (the monitor checks it at exploration). *)
+     body's actions establish (static analyses read it on trust). *)
   Prog.annot (Footprint.touches sp) (Prog.ffix body root)
 
 (* The spec span_tp of Figure 4, as executable pre/post predicates. *)
@@ -276,8 +276,7 @@ let subjective_subgraph i f =
   | _ -> false
 
 let span_spec sp (x : Ptr.t) : bool Spec.t =
-  Spec.with_fp (Footprint.touches sp)
-  @@ Spec.make
+  Spec.make
     ~name:(Fmt.str "span_tp(%a)" Ptr.pp x)
     ~pre:(fun st ->
       match State.find sp st with

@@ -80,8 +80,8 @@ type 'a t = {
   fp : Footprint.t;
       (* Declared effect envelope: which labels the action may touch, and
          how.  Defaults to [Top] (unknown); declared envelopes feed the
-         static analyzer and the env-step pruning oracle, and are checked
-         dynamically by {!Sched}'s envelope monitor. *)
+         static analyzer, the lints and partial-order reduction, and are
+         checked dynamically by {!Sched} when POR is on. *)
 }
 
 let make ?(communicating = false) ?enabled ?(fp = Footprint.top) ~name ~safe

@@ -39,9 +39,9 @@ val make :
     action blocks its thread rather than stepping — the standard sound
     reduction of retry-until-success loops for partial correctness.
     [fp] is the action's declared effect envelope (default
-    [Footprint.top], i.e. unknown); it feeds the static analyzer and the
-    env-step pruning oracle, and is dynamically checked by the
-    scheduler's envelope monitor when pruning is on. *)
+    [Footprint.top], i.e. unknown); it feeds the static analyzer, the
+    lints and partial-order reduction, and under POR the scheduler
+    checks every executed move's mutations against it. *)
 
 val name : 'a t -> string
 val safe : 'a t -> State.t -> bool

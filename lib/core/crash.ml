@@ -7,7 +7,6 @@
 type kind =
   | Unsafe_action
   | Ghost_algebra
-  | Envelope_violation
   | Postcondition
   | Budget_exhausted
   | Injected_fault
@@ -20,7 +19,6 @@ type kind =
 let kind_name = function
   | Unsafe_action -> "unsafe-action"
   | Ghost_algebra -> "ghost-algebra"
-  | Envelope_violation -> "envelope-violation"
   | Postcondition -> "postcondition"
   | Budget_exhausted -> "budget-exhausted"
   | Injected_fault -> "injected-fault"
@@ -90,7 +88,6 @@ let to_json c =
 let kind_of_name = function
   | "unsafe-action" -> Some Unsafe_action
   | "ghost-algebra" -> Some Ghost_algebra
-  | "envelope-violation" -> Some Envelope_violation
   | "postcondition" -> Some Postcondition
   | "budget-exhausted" -> Some Budget_exhausted
   | "injected-fault" -> Some Injected_fault

@@ -1,8 +1,8 @@
 (** Structured failure values for the verification engine.
 
     Every way a run can crash — an unsafe action, broken ghost algebra,
-    an envelope violation, an exhausted resource budget, an injected
-    fault, or a broken engine invariant — is a [Crash.t] carrying a
+    an exhausted resource budget, an injected fault, or a broken engine
+    invariant — is a [Crash.t] carrying a
     {!kind}, a human diagnosis, and the schedule that discovered it.
     The CLI maps kinds to its stable exit codes (see docs/ROBUSTNESS.md);
     [pp]/[to_json] give the textual and machine renderings. *)
@@ -12,9 +12,6 @@ type kind =
   | Ghost_algebra
       (** contribution/hide/fork ghost algebra failed (joins, splits,
           subjective views) *)
-  | Envelope_violation
-      (** a declared footprint under-declared: a move mutated shared
-          state outside it *)
   | Postcondition  (** a terminal state violates the spec's post *)
   | Budget_exhausted  (** a resource budget tripped (see {!Budget}) *)
   | Injected_fault  (** a fault injected by the chaos harness *)

@@ -7,11 +7,9 @@
    Envelopes form a join-semilattice with [Top] ("may touch anything"):
    the element every opaque OCaml closure in the DSL maps to.  Anything
    statically visible (action leaves, par/hide spines, declared
-   annotations) stays below [Top], and [Verify] uses the resulting label
-   set as a sound env-step pruning oracle: interference at a label
-   neither the program nor its spec touches cannot change any verdict,
-   so those env transitions need not be explored (see DESIGN.md,
-   Section 10). *)
+   annotations) stays below [Top].  The static analyzer, the lints and
+   partial-order reduction read envelopes; exploration itself always
+   interferes at every world label (see DESIGN.md, Section 10). *)
 
 type access = Read | Write | Cas
 
@@ -87,7 +85,7 @@ let join a b =
 let join_all = List.fold_left join bot
 
 (* [labels fp] is [None] for [Top] ("all labels") and the touched label
-   set otherwise — the shape the pruning oracle consumes. *)
+   set otherwise. *)
 let labels = function
   | Top -> None
   | Fp m -> Some (Label.Set.of_list (Label.Map.keys m))

@@ -1,9 +1,10 @@
 (** Effect envelopes over labels: which concurroid labels a program,
     spec, or action may read, write, or CAS.  A join-semilattice with
     [top] ("may touch anything") — the element every opaque OCaml
-    closure in the DSL maps to.  {!Verify} uses envelopes as a sound
-    env-step pruning oracle, and {!Sched}'s envelope monitor keeps
-    declared envelopes honest (see DESIGN.md, Section 10). *)
+    closure in the DSL maps to.  The static analyzer, the lints and
+    partial-order reduction read envelopes; under POR the scheduler
+    checks every executed action against its own (see DESIGN.md,
+    Section 10). *)
 
 type access = Read | Write | Cas
 
@@ -39,8 +40,7 @@ val join : t -> t -> t
 val join_all : t list -> t
 
 val labels : t -> Label.Set.t option
-(** The touched label set; [None] for [top] ("all labels") — the shape
-    the pruning oracle consumes. *)
+(** The touched label set; [None] for [top] ("all labels"). *)
 
 val mem : t -> Label.t -> bool
 

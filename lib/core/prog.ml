@@ -40,8 +40,8 @@ type _ t =
   | Annot : Footprint.t * 'a t -> 'a t
       (* A declared effect envelope for the subterm — the static
          analyzer's escape hatch for opaque closures (Bind continuations,
-         Ffix bodies).  Semantically transparent; checked dynamically by
-         {!Sched}'s envelope monitor when pruning is enabled. *)
+         Ffix bodies).  Semantically transparent, and taken on trust:
+         exploration never reads it. *)
 
 (* Smart constructors; [let*] gives the monadic notation of Figure 3. *)
 
@@ -113,8 +113,8 @@ let rec size : type a. a t -> int = function
 (* Effect inference over the visible spine.  Continuations of [Bind] and
    bodies of [Ffix] are opaque OCaml closures, so without an [Annot]
    they infer [Top]; an [Annot] overrides whatever its subterm would
-   infer (the monitor in {!Sched}, not this traversal, is what keeps
-   declared envelopes honest).  [Hide] scopes away its installed label
+   infer (the analyzer's annotation-narrowing lint checks it against
+   whatever the spine shows).  [Hide] scopes away its installed label
    and touches the donating private label. *)
 let rec footprint : type a. a t -> Footprint.t = function
   | Ret _ -> Footprint.bot

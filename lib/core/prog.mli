@@ -32,8 +32,8 @@ type _ t =
   | Hide : hide_spec * 'a t -> 'a t
   | Annot : Footprint.t * 'a t -> 'a t
       (** A declared effect envelope for the subterm — the analyzer's
-          escape hatch for opaque closures.  Semantically transparent;
-          kept honest by the scheduler's envelope monitor. *)
+          escape hatch for opaque closures.  Semantically transparent,
+          and taken on trust: exploration never reads it. *)
 
 val ret : 'a -> 'a t
 val bind : 'b t -> ('b -> 'a t) -> 'a t

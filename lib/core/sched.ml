@@ -1112,7 +1112,7 @@ let memo_store_cap = 4096
 (* Exploration statistics: configurations actually entered (same cadence
    as the budget tick), memo behaviour, sleep-set skips and allocation,
    exposed so callers can report the effect of the active reductions
-   (dedup, pruning, POR) and measure — not guess — the hot path. *)
+   (dedup, POR) and measure — not guess — the hot path. *)
 type explore_stats = {
   mutable es_configs : int; (* configurations entered *)
   mutable es_memo_hits : int; (* memoized subtrees replayed *)
@@ -1162,8 +1162,7 @@ exception Analyzer_lie_exn of Crash.t
    located [Crash.Analyzer_lie] diagnostic in the oracle.  A wrong
    static claim can therefore never flip a verdict. *)
 let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
-    ?(env_budget = max_int) ?(dedup = false) ?monitor_envelope ?budget ?journal
-    ?por ?stats (genv0 : genv) (mine0 : Contrib.t) (prog : 'a Prog.t) :
+    ?(env_budget = max_int) ?(dedup = false) ?budget ?journal ?por ?stats (genv0 : genv) (mine0 : Contrib.t) (prog : 'a Prog.t) :
     'a outcome list * bool =
   (* Cooperative budget poll, one per explored configuration.  A trip
      aborts through the existing [Stop] path, so (a) [complete] comes
@@ -1183,45 +1182,13 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
       Budget.tick b;
       if Budget.tripped b <> None then raise Stop
   in
-  (* Dynamic write-confinement check for declared effect envelopes: when
-     a caller prunes env steps based on a footprint, every shared-state
-     mutation (joint heap or joint auxiliary) at a label OUTSIDE that
-     footprint is an envelope violation — the declared annotation was
-     unsound, and pruning on it would be too.  Reported as a crash so it
-     surfaces as a verification failure rather than a silent wrong
-     verdict.  Labels installed by [hide] during the run are fresh, so
-     watching only the initial world's labels is exhaustive. *)
-  let watched =
-    match monitor_envelope with
-    | None -> []
-    | Some envelope ->
-      List.filter
-        (fun l -> not (Label.Set.mem l envelope))
-        (World.labels genv0.world)
-  in
-  let envelope_violation (before : genv) (after : genv) =
-    List.find_opt
-      (fun l ->
-        let joint_eq =
-          match
-            (Label.Map.find_opt l before.joints, Label.Map.find_opt l after.joints)
-          with
-          | Some h, Some h' -> Heap.equal h h'
-          | None, None -> true
-          | Some _, None | None, Some _ -> false
-        in
-        not
-          (joint_eq
-          && Aux.equal (Contrib.get l before.jauxs) (Contrib.get l after.jauxs)))
-      watched
-  in
   (* The POR soundness envelope: a move's joint-heap, joint-auxiliary,
      external-contribution or self mutations must all land on labels its
      declared footprint covers (Top declares everything and is never
      claimed independent, so it checks vacuously).  Reads are part of
-     the same declaration contract but — exactly as with the prune
-     monitor above — are trusted statically and cross-checked by the
-     differential and QCheck suites rather than at runtime. *)
+     the same declaration contract but are trusted statically and
+     cross-checked by the differential and QCheck suites rather than at
+     runtime. *)
   (* Runs once per executed move on the POR arm, so it must not build
      candidate sets or lists: each component diff is checked by direct
      iteration over its own keys (a label can only differ at a component
@@ -1448,22 +1415,10 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
                      (Crash.with_trace
                         (trace_steps (Lazy.from_val mv.mv_name :: trace))
                         c))
-              | Ok (genv', mine', rt') -> (
-                match envelope_violation genv genv' with
-                | Some l ->
-                  record
-                    (Crashed
-                       (Crash.make
-                          ~trace:(trace_steps (Lazy.from_val mv.mv_name :: trace))
-                          Crash.Envelope_violation
-                          (Fmt.str
-                             "envelope violation: %s mutates label %a outside \
-                              the declared footprint"
-                             mv.mv_name Label.pp l)))
-                | None ->
-                  go genv' mine' rt' (depth + 1) budget
-                    (Lazy.from_val mv.mv_name :: trace)
-                    Por.Sleepset.empty rt kt))
+              | Ok (genv', mine', rt') ->
+                go genv' mine' rt' (depth + 1) budget
+                  (Lazy.from_val mv.mv_name :: trace)
+                  Por.Sleepset.empty rt kt)
             mvs;
           List.iter
             (fun ev ->
@@ -1506,44 +1461,32 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
                     ~fp:mv.mv_fp
                 in
                 if Por.Sleepset.mem !sleeping id then skip ()
-                else
-                  match envelope_violation genv genv' with
+                else begin
+                  (match
+                     find_lie ~allowed:(Por.move_allowed p id)
+                       ~touched:mv.mv_touched ~before:genv ~after:genv' ~mine
+                       ~mine'
+                   with
                   | Some l ->
-                    record
-                      (Crashed
+                    raise
+                      (Analyzer_lie_exn
                          (Crash.make
                             ~trace:
                               (trace_steps (Lazy.from_val mv.mv_name :: trace))
-                            Crash.Envelope_violation
+                            Crash.Analyzer_lie
                             (Fmt.str
-                               "envelope violation: %s mutates label %a \
-                                outside the declared footprint"
-                               mv.mv_name Label.pp l)))
-                  | None ->
-                    (match
-                       find_lie ~allowed:(Por.move_allowed p id)
-                         ~touched:mv.mv_touched ~before:genv ~after:genv'
-                         ~mine ~mine'
-                     with
-                    | Some l ->
-                      raise
-                        (Analyzer_lie_exn
-                           (Crash.make
-                              ~trace:
-                                (trace_steps (Lazy.from_val mv.mv_name :: trace))
-                              Crash.Analyzer_lie
-                              (Fmt.str
-                                 "analyzer lie: %s mutates label %a outside \
-                                  its declared footprint %a — independence \
-                                  claims involving it are void; demoting to \
-                                  full exploration"
-                                 mv.mv_name Label.pp l Footprint.pp mv.mv_fp)))
-                    | None -> ());
-                    go genv' mine' rt' (depth + 1) budget
-                      (Lazy.from_val mv.mv_name :: trace)
-                      (Por.restrict p !sleeping ~executed:id)
-                      rt kt;
-                    sleeping := Por.Sleepset.add !sleeping id))
+                               "analyzer lie: %s mutates label %a outside \
+                                its declared footprint %a — independence \
+                                claims involving it are void; demoting to \
+                                full exploration"
+                               mv.mv_name Label.pp l Footprint.pp mv.mv_fp)))
+                  | None -> ());
+                  go genv' mine' rt' (depth + 1) budget
+                    (Lazy.from_val mv.mv_name :: trace)
+                    (Por.restrict p !sleeping ~executed:id)
+                    rt kt;
+                  sleeping := Por.Sleepset.add !sleeping id
+                end))
             mvs;
           List.iter
             (fun ev ->

@@ -143,7 +143,7 @@ type explore_stats = {
   mutable es_minor_words : float;
       (** [Gc.minor_words] allocated during exploration *)
 }
-(** Exploration accounting, so the effect of dedup/pruning/POR — and
+(** Exploration accounting, so the effect of dedup/POR — and
     the cost of the hot path itself — is measured rather than
     guessed. *)
 
@@ -155,7 +155,6 @@ val explore :
   ?interference:bool ->
   ?env_budget:int ->
   ?dedup:bool ->
-  ?monitor_envelope:Label.Set.t ->
   ?budget:Budget.t ->
   ?journal:Journal.writer ->
   ?por:Por.t ->
@@ -174,11 +173,6 @@ val explore :
     its recorded outcomes — collapsing the diamonds of commuting steps
     while preserving the failure set and the completeness verdict; crash
     messages keep the schedule of their first discovery.
-
-    With [monitor_envelope], every program move that mutates shared
-    state (joint heap or joint auxiliary) at an initial-world label
-    outside the given set is recorded as a crash — the dynamic
-    write-confinement check backing footprint-based env-step pruning.
 
     With [budget], one {!Budget.tick} is charged per explored
     configuration; a trip aborts the search through the same path as a

@@ -11,20 +11,10 @@ type 'a t = {
   name : string;
   pre : State.t -> bool;
   post : 'a -> State.t -> State.t -> bool; (* result, initial, final *)
-  fp : Footprint.t;
-      (* Labels the pre/postcondition predicates depend on.  [Top]
-         (the default) means unknown; a declared envelope lets {!Verify}
-         prune env steps at labels neither the program nor its spec
-         observes. *)
 }
 
-let make ~name ~pre ~post = { name; pre; post; fp = Footprint.top }
-
-(* Declare the labels the pre/postcondition depend on. *)
-let with_fp fp s = { s with fp }
-
+let make ~name ~pre ~post = { name; pre; post }
 let name s = s.name
-let footprint s = s.fp
 let pre s st = s.pre st
 let post s r i f = s.post r i f
 

@@ -11,20 +11,9 @@ val make :
   pre:(State.t -> bool) ->
   post:('a -> State.t -> State.t -> bool) ->
   'a t
-(** [post r i f]: result, initial view, final view.  The footprint
-    defaults to [Footprint.top] (unknown); declare one with
-    {!with_fp}. *)
-
-val with_fp : Footprint.t -> 'a t -> 'a t
-(** Declare which labels the pre/postcondition predicates depend on; a
-    declared envelope lets {!Verify} prune env steps at labels neither
-    the program nor its spec observes. *)
+(** [post r i f]: result, initial view, final view. *)
 
 val name : 'a t -> string
-
-val footprint : 'a t -> Footprint.t
-(** The declared predicate-dependency envelope. *)
-
 val pre : 'a t -> State.t -> bool
 val post : 'a t -> 'a -> State.t -> State.t -> bool
 

@@ -11,11 +11,15 @@
    Resource resilience (see docs/ROBUSTNESS.md): when a {!Budget.limits}
    is supplied, exhaustion never hangs and never returns a silent
    partial answer.  Instead the verifier walks a degradation ladder —
-   exhaustive, then footprint-pruned, then seeded-randomized sampling —
-   re-arming per-tier state/heap ceilings under one shared absolute
-   deadline, and records which tier produced the verdict, the consumed
-   budget, and (for sampled verdicts) the seed. *)
+   exhaustive, then seeded-randomized sampling — re-arming the state/heap
+   ceilings for the second rung under one shared absolute deadline, and
+   records which tier produced the verdict, the consumed budget, and (for
+   sampled verdicts) the seed. *)
 
+(* [Pruned] is never constructed: the footprint-pruned rung it named is
+   gone.  The benchmark harness still names it for its (always zero)
+   [verify.tier_pruned] counter, so it stays until the next benchmark
+   change removes both. *)
 type tier = Exhaustive | Pruned | Sampled
 
 let tier_name = function
@@ -25,7 +29,6 @@ let tier_name = function
 
 let tier_of_name = function
   | "exhaustive" -> Some Exhaustive
-  | "pruned" -> Some Pruned
   | "sampled" -> Some Sampled
   | _ -> None
 
@@ -141,57 +144,49 @@ let exit_code reports =
   else if List.exists degraded reports then exit_degraded
   else exit_ok
 
-(* Engine defaults, overridable per call: configuration memoization in
-   the scheduler (see [Sched.explore ~dedup]), the number of domains
-   verification fans initial states out over, footprint-based env
-   pruning, the resource budget, and the sampling base seed.  The CLI
-   and the bench harness set these process-wide; [with_engine] scopes an
-   override. *)
-let default_dedup = ref true
-let default_jobs = ref 1
-let default_prune = ref false
-let default_budget = ref Budget.no_limits
-let default_seed = ref 1
-let default_journal : Journal.t option ref = ref None
-let default_por = ref false
-let default_por_certs : (string -> string -> bool) ref = ref (fun _ _ -> false)
-let set_default_dedup b = default_dedup := b
-let set_default_jobs j = default_jobs := max 1 j
-let set_default_prune b = default_prune := b
-let set_default_budget l = default_budget := l
-let set_default_seed s = default_seed := s
-let set_default_journal j = default_journal := j
-let set_default_por b = default_por := b
-let set_default_por_certs f = default_por_certs := f
+(* The engine: every setting a verification run reads besides the
+   triple and its exploration bounds — configuration memoization in the
+   scheduler (see [Sched.explore ~dedup]), the number of domains initial
+   states fan out over, the resource budget, the sampling base seed, the
+   journal, and partial-order reduction with its extra certificates.
+   One immutable record in one reference: [with_engine] installs a
+   whole new record and restores the old one, so a triple reads a
+   consistent engine once, never a half-applied override. *)
+type engine = {
+  e_dedup : bool;
+  e_jobs : int;
+  e_budget : Budget.limits;
+  e_seed : int;
+  e_journal : Journal.t option;
+  e_por : bool;
+  e_por_certs : string -> string -> bool;
+}
 
-let with_engine ?dedup ?jobs ?prune ?budget ?seed ?journal ?por ?por_certs f =
-  let saved_d = !default_dedup
-  and saved_j = !default_jobs
-  and saved_p = !default_prune
-  and saved_b = !default_budget
-  and saved_s = !default_seed
-  and saved_jr = !default_journal
-  and saved_po = !default_por
-  and saved_pc = !default_por_certs in
-  Option.iter set_default_dedup dedup;
-  Option.iter set_default_jobs jobs;
-  Option.iter set_default_prune prune;
-  Option.iter set_default_budget budget;
-  Option.iter set_default_seed seed;
-  Option.iter set_default_journal journal;
-  Option.iter set_default_por por;
-  Option.iter set_default_por_certs por_certs;
-  Fun.protect
-    ~finally:(fun () ->
-      default_dedup := saved_d;
-      default_jobs := saved_j;
-      default_prune := saved_p;
-      default_budget := saved_b;
-      default_seed := saved_s;
-      default_journal := saved_jr;
-      default_por := saved_po;
-      default_por_certs := saved_pc)
-    f
+let engine =
+  ref
+    {
+      e_dedup = true;
+      e_jobs = 1;
+      e_budget = Budget.no_limits;
+      e_seed = 1;
+      e_journal = None;
+      e_por = false;
+      e_por_certs = (fun _ _ -> false);
+    }
+
+let with_engine ?dedup ?jobs ?budget ?seed ?journal ?por ?por_certs f =
+  let saved = !engine in
+  engine :=
+    {
+      e_dedup = Option.value dedup ~default:saved.e_dedup;
+      e_jobs = max 1 (Option.value jobs ~default:saved.e_jobs);
+      e_budget = Option.value budget ~default:saved.e_budget;
+      e_seed = Option.value seed ~default:saved.e_seed;
+      e_journal = Option.value journal ~default:saved.e_journal;
+      e_por = Option.value por ~default:saved.e_por;
+      e_por_certs = Option.value por_certs ~default:saved.e_por_certs;
+    };
+  Fun.protect ~finally:(fun () -> engine := saved) f
 
 let pp_failure ppf f =
   Fmt.pf ppf "@[<v2>from %a:@ %a@]" State.pp f.initial Crash.pp f.crash
@@ -305,7 +300,7 @@ let crash_of_pool_error (e : Pool.error) =
 type jctx = { jc_j : Journal.t; jc_spec : string; jc_tier : string }
 
 let params_digest ~mode ~fuel ~max_outcomes ~trials ~interference ~env_budget
-    ~max_failures ~prune ~por ~seed ~(lim : Budget.limits) ~eligible =
+    ~max_failures ~por ~seed ~(lim : Budget.limits) ~eligible =
   (* A structural digest of the eligible initial states: two triples
      can share a spec name (e.g. the same rooted-spanning spec checked
      over several catalogue graphs), and only the initial states tell
@@ -319,9 +314,9 @@ let params_digest ~mode ~fuel ~max_outcomes ~trials ~interference ~env_budget
      replayed [states] count is not, and silently reporting a reduced
      count for an unreduced run (or vice versa) would poison baselines. *)
   Fmt.str
-    "mode=%s,fuel=%d,outs=%d,trials=%d,intf=%b,envb=%d,maxf=%d,prune=%b,por=%b,seed=%d,dl=%a,words=%a,states=%a,init=%d,inith=%x"
-    mode fuel max_outcomes trials interference env_budget max_failures prune
-    por seed
+    "mode=%s,fuel=%d,outs=%d,trials=%d,intf=%b,envb=%d,maxf=%d,por=%b,seed=%d,dl=%a,words=%a,states=%a,init=%d,inith=%x"
+    mode fuel max_outcomes trials interference env_budget max_failures por
+    seed
     Fmt.(option ~none:(any "-") float)
     lim.Budget.l_deadline_s
     Fmt.(option ~none:(any "-") int)
@@ -450,32 +445,13 @@ let unit_cached (jctx : jctx option) ~index ~(keep : state_result -> bool)
              { spec = jc_spec; tier = jc_tier; index; state = sr_image sr });
       sr)
 
-(* One ladder attempt: a full (possibly footprint-pruned) exploration of
-   every eligible state under an optional armed budget. *)
+(* One ladder attempt: a full exploration of every eligible state under
+   an optional armed budget. *)
 let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
-    ~max_failures ~dedup ~jobs ~prune ~por ~por_certs
-    ~(budget : Budget.t option) ?(jctx : jctx option) ~(world : World.t)
-    ~(eligible : State.t list) (prog : 'a Prog.t) (spec : 'a Spec.t) : core =
-  (* Env-step pruning oracle: interference at a label neither the program
-     nor its spec touches cannot change any verdict (program moves never
-     read it, the postcondition never observes it), so when the joined
-     footprint is known the interference set shrinks to it.  The pruned
-     run additionally arms the scheduler's envelope monitor, so an
-     unsound declared footprint surfaces as an explicit crash instead of
-     a silently narrowed search. *)
-  let triple_fp =
-    if not prune then Footprint.top
-    else Footprint.join (Prog.footprint prog) (Spec.footprint spec)
-  in
-  let interfere =
-    if not interference then []
-    else
-      match Footprint.labels triple_fp with
-      | None -> World.labels world
-      | Some fp_labels ->
-        List.filter (fun l -> Label.Set.mem l fp_labels) (World.labels world)
-  in
-  let monitor_envelope = Footprint.labels triple_fp in
+    ~max_failures ~dedup ~jobs ~por ~por_certs ~(budget : Budget.t option)
+    ?(jctx : jctx option) ~(world : World.t) ~(eligible : State.t list)
+    (prog : 'a Prog.t) (spec : 'a Spec.t) : core =
+  let interfere = if interference then World.labels world else [] in
   let jwriter =
     Option.map
       (fun { jc_j; jc_spec; jc_tier } ->
@@ -490,8 +466,7 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
     let oracle = if por then Some (Por.make ~extra:por_certs ()) else None in
     let outs, compl =
       Sched.explore ~fuel ~max_outcomes ~interference ~env_budget ~dedup
-        ?monitor_envelope ?budget ?journal:jwriter ?por:oracle ~stats genv
-        mine prog
+        ?budget ?journal:jwriter ?por:oracle ~stats genv mine prog
     in
     Option.iter
       (fun p ->
@@ -712,31 +687,26 @@ let merge_stats (ss : Budget.stats list) : Budget.stats =
 let ladder_trials = 100
 
 let check_triple ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
-    ?(env_budget = max_int) ?(max_failures = 5) ?dedup ?jobs ?prune ?por
-    ?por_certs ?budget ?seed ?journal ~(world : World.t)
+    ?(env_budget = max_int) ?(max_failures = 5) ~(world : World.t)
     ~(init : State.t list) (prog : 'a Prog.t) (spec : 'a Spec.t) : report =
-  let dedup = Option.value dedup ~default:!default_dedup in
-  let jobs = max 1 (Option.value jobs ~default:!default_jobs) in
-  let prune = Option.value prune ~default:!default_prune in
-  let por = Option.value por ~default:!default_por in
-  let por_certs = Option.value por_certs ~default:!default_por_certs in
-  let lim = Option.value budget ~default:!default_budget in
-  let seed = Option.value seed ~default:!default_seed in
-  let journal =
-    match journal with Some _ as j -> j | None -> !default_journal
+  let {
+    e_dedup = dedup;
+    e_jobs = jobs;
+    e_budget = lim;
+    e_seed = seed;
+    e_journal = journal;
+    e_por = por;
+    e_por_certs = por_certs;
+  } =
+    !engine
   in
   let spec_name = Spec.name spec in
   let eligible =
     List.filter (fun st -> World.coh world st && Spec.pre spec st) init
   in
-  (* Pruning only bites when the joined footprint is below top. *)
-  let fp_known =
-    Footprint.labels (Footprint.join (Prog.footprint prog) (Spec.footprint spec))
-    <> None
-  in
   let params =
     params_digest ~mode:"exh" ~fuel ~max_outcomes ~trials:ladder_trials
-      ~interference ~env_budget ~max_failures ~prune ~por ~seed ~lim ~eligible
+      ~interference ~env_budget ~max_failures ~por ~seed ~lim ~eligible
   in
   (* A journaled verdict for this spec under these exact engine
      parameters replays wholesale — the memoization that makes resumed
@@ -785,36 +755,32 @@ let check_triple ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
         journal;
       r
     in
-    (* POR rides every exhaustive-shaped rung: it composes with pruning
-       (orthogonal reductions — labels cut vs. interleavings cut) and
-       with budgets (fewer configurations per tick).  The sampled rung
-       runs single schedules, where there is nothing to reduce. *)
-    let attempt ~prune ?jctx b =
+    (* POR rides the exhaustive rung, budgeted or not (fewer
+       configurations per tick).  The sampled rung runs single
+       schedules, where there is nothing to reduce. *)
+    let attempt b =
       exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
-        ~max_failures ~dedup ~jobs ~prune ~por ~por_certs ~budget:b ?jctx
-        ~world ~eligible prog spec
+        ~max_failures ~dedup ~jobs ~por ~por_certs ~budget:b
+        ?jctx:(jctx Exhaustive None) ~world ~eligible prog spec
     in
-    let tier1 = if prune && fp_known then Pruned else Exhaustive in
     if Budget.is_unlimited lim then
       (* No budget: exactly the historical single-attempt path. *)
       finish
-        (assemble ~spec_name ~tier:tier1 ~seed:None ~budget:None
-           (attempt ~prune ?jctx:(jctx tier1 None) None))
+        (assemble ~spec_name ~tier:Exhaustive ~seed:None ~budget:None
+           (attempt None))
     else begin
-      (* The degradation ladder.  Each rung re-arms fresh state/heap
-         ceilings but every rung shares the first rung's absolute
+      (* The degradation ladder.  The sampled rung re-arms fresh
+         state/heap ceilings but shares the exhaustive rung's absolute
          deadline, so the whole ladder observes one wall-clock budget.
          Failures found on a tripped rung are sound counterexamples and
-         are reported as-is; only failure-free tripped rungs degrade.
+         are reported as-is; only a failure-free trip degrades.
 
-         A resumed run re-enters the ladder at the last journaled rung:
-         rungs the interrupted run already fell past are not repeated
-         (their failure-free trip is what pushed it down). *)
+         A resumed run whose journal already reached the sampled rung
+         re-enters there: the exhaustive rung's failure-free trip is
+         what pushed the interrupted run down. *)
       let b1 = Budget.arm lim in
-      let deadline_at = Budget.deadline_at b1 in
-      let rearm () = Budget.arm ?deadline_at lim in
       (* Like the budget stats, exploration counters are cumulative
-         across rungs: the work the earlier failure-free tripped rungs
+         across rungs: the work a failure-free tripped exhaustive rung
          burned is part of what this verdict cost. *)
       let sample_with b stats_so_far expl_so_far =
         let c =
@@ -828,48 +794,26 @@ let check_triple ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
       in
       (* A cancel trip aborts the ladder at the current rung:
          degradation is for resource exhaustion, and descending would
-         journal lower-rung markers that a later resubmission of the
-         same digest would wrongly resume into (serving a sampled
-         verdict where an exhaustive one was never even attempted). *)
+         journal a sampled marker that a later resubmission of the same
+         digest would wrongly resume into (serving a sampled verdict
+         where an exhaustive one was never even attempted). *)
       let conclusive c s =
         s.Budget.st_tripped = None
         || c.c_failures <> []
         || s.Budget.st_tripped = Some (Budget.reason_name Budget.Cancelled)
       in
-      (* Which rung to start on: 0 = tier1, 1 = pruned (only reachable
-         when tier1 is exhaustive and the footprint is known), 2 =
-         sampled. *)
-      let start =
-        match resume_tier with
-        | Some Sampled -> 2
-        | Some Pruned when tier1 = Exhaustive && fp_known -> 1
-        | _ -> 0
-      in
       finish
-        (if start >= 2 then sample_with b1 [] None
+        (if resume_tier = Some Sampled then sample_with b1 [] None
          else begin
-           let first_tier = if start = 1 then Pruned else tier1 in
-           let first_prune = if start = 1 then true else prune in
-           let c1 =
-             attempt ~prune:first_prune ?jctx:(jctx first_tier None) (Some b1)
-           in
+           let c1 = attempt (Some b1) in
            let s1 = Budget.stats b1 in
            if conclusive c1 s1 then
-             assemble ~spec_name ~tier:first_tier ~seed:None ~budget:(Some s1)
+             assemble ~spec_name ~tier:Exhaustive ~seed:None ~budget:(Some s1)
                c1
-           else if first_tier = Exhaustive && fp_known then begin
-             let b2 = rearm () in
-             let c2 = attempt ~prune:true ?jctx:(jctx Pruned None) (Some b2) in
-             let s2 = Budget.stats b2 in
-             if conclusive c2 s2 then
-               assemble ~spec_name ~tier:Pruned ~seed:None
-                 ~budget:(Some (merge_stats [ s1; s2 ]))
-                 { c2 with c_expl = merge_expl c1.c_expl c2.c_expl }
-             else
-               sample_with (rearm ()) [ s1; s2 ]
-                 (merge_expl c1.c_expl c2.c_expl)
-           end
-           else sample_with (rearm ()) [ s1 ] c1.c_expl
+           else
+             sample_with
+               (Budget.arm ?deadline_at:(Budget.deadline_at b1) lim)
+               [ s1 ] c1.c_expl
          end)
     end
 
@@ -877,13 +821,9 @@ let check_triple ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
    random schedules per initial state, with consecutive seeds from
    [seed] (so a report's recorded seed replays bit-identically). *)
 let check_triple_random ?(fuel = 2000) ?(trials = 100) ?(interference = false)
-    ?(max_failures = 5) ?budget ?seed ?journal ~(world : World.t)
-    ~(init : State.t list) (prog : 'a Prog.t) (spec : 'a Spec.t) : report =
-  let lim = Option.value budget ~default:!default_budget in
-  let seed = Option.value seed ~default:!default_seed in
-  let journal =
-    match journal with Some _ as j -> j | None -> !default_journal
-  in
+    ?(max_failures = 5) ~(world : World.t) ~(init : State.t list)
+    (prog : 'a Prog.t) (spec : 'a Spec.t) : report =
+  let { e_budget = lim; e_seed = seed; e_journal = journal; _ } = !engine in
   let b = if Budget.is_unlimited lim then None else Some (Budget.arm lim) in
   let spec_name = Spec.name spec in
   let eligible =
@@ -891,7 +831,7 @@ let check_triple_random ?(fuel = 2000) ?(trials = 100) ?(interference = false)
   in
   let params =
     params_digest ~mode:"rand" ~fuel ~max_outcomes:0 ~trials ~interference
-      ~env_budget:0 ~max_failures ~prune:false ~por:false ~seed ~lim ~eligible
+      ~env_budget:0 ~max_failures ~por:false ~seed ~lim ~eligible
   in
   let replayed =
     Option.bind journal (fun j ->

@@ -6,20 +6,26 @@
     Resource resilience (see docs/ROBUSTNESS.md): under a
     {!Budget.limits} the verifier never hangs and never returns a silent
     partial answer.  On budget exhaustion it walks a degradation ladder
-    — {!Exhaustive}, then footprint-{!Pruned}, then seeded-randomized
-    {!Sampled} — and the report records the tier that produced the
-    verdict, the consumed budget, and (for sampled verdicts) the seed. *)
+    — {!Exhaustive}, then seeded-randomized {!Sampled} — and the report
+    records the tier that produced the verdict, the consumed budget, and
+    (for sampled verdicts) the seed. *)
 
 type tier =
   | Exhaustive  (** full exploration of every schedule *)
-  | Pruned  (** footprint-pruned exploration (still a proof if complete) *)
+  | Pruned
+      (** Never constructed.  It named a footprint-pruned rung that no
+          longer exists; the benchmark harness still names it for its
+          [verify.tier_pruned] counter (always 0), and the next
+          benchmark change removes it. *)
   | Sampled  (** randomized sampling: can only refute, never prove *)
 
 val tier_name : tier -> string
-(** ["exhaustive"], ["pruned"], ["sampled"]. *)
+(** ["exhaustive"], ["sampled"] (and ["pruned"] for {!Pruned}). *)
 
 val tier_of_name : string -> tier option
-(** Inverse of {!tier_name} (journal records carry tier names). *)
+(** Inverse of {!tier_name} on the tiers a verdict can carry (journal
+    records carry tier names); any other name, ["pruned"] included,
+    decodes to [None]. *)
 
 val pp_tier : Format.formatter -> tier -> unit
 
@@ -62,7 +68,7 @@ type report = {
   complete : bool;  (** exploration exhausted every path *)
   states : int;
       (** configurations explored under the active reductions (dedup,
-          pruning, POR) — the cost the Table 1 [States] column and the
+          POR) — the cost the Table 1 [States] column and the
           POR benchmark surface.  0 for {!Sampled} verdicts, which run
           single schedules rather than searching a space. *)
   failures : failure list;
@@ -115,54 +121,16 @@ val exit_code : report list -> int
     then worker crashes (an "ok" with quarantined workers is
     untrustworthy), then degradation. *)
 
-(** {1 Engine defaults}
+(** {1 The engine}
 
-    Process-wide defaults for the exploration engine, used when
-    {!check_triple} is not passed the corresponding argument: whether
-    the scheduler memoizes configurations ([dedup], default on), how
-    many domains initial states fan out over ([jobs], default 1),
-    footprint-based env pruning ([prune], default off), the resource
-    budget ([budget], default {!Budget.no_limits}), and the sampling
-    base seed ([seed], default 1). *)
-
-val set_default_dedup : bool -> unit
-val set_default_jobs : int -> unit
-
-val set_default_prune : bool -> unit
-(** Footprint-based env-step pruning (default off): when a triple's
-    joined program+spec envelope is known (below [Footprint.top]),
-    restrict environment interference to the labels it touches, and arm
-    the scheduler's envelope monitor so an unsound declared envelope
-    surfaces as an explicit failure. *)
-
-val set_default_budget : Budget.limits -> unit
-val set_default_seed : int -> unit
-
-val set_default_por : bool -> unit
-(** Sleep-set partial-order reduction (default off): skip exploration
-    subtrees that are reorderings, by independent moves, of subtrees
-    already explored (see [Sched.explore ~por] and docs/ANALYSIS.md
-    §POR).  Verdict-preserving by construction; self-checking at
-    runtime, demoting to full exploration on a refuted independence
-    claim. *)
-
-val set_default_por_certs : (string -> string -> bool) -> unit
-(** Extra independence certificates for the POR oracle, keyed by action
-    name pair (queried once per interned class pair, in both orders, so
-    tables may be ordered or symmetrically closed): the static
-    analyzer's algebraic (PCM-commutation) rule, beyond what footprint
-    disjointness shows.  Default: none.  Only consulted when POR is
-    on. *)
-
-val set_default_journal : Journal.t option -> unit
-(** The write-ahead journal verification progress is recorded to (and
-    replayed from), when any — see {!Journal} and docs/ROBUSTNESS.md.
-    Default: none. *)
+    Every setting a verification run reads besides the triple and its
+    exploration bounds is held in one immutable engine value.
+    {!check_triple} and {!check_triple_random} read it once, at entry;
+    {!with_engine} is the only way to change it. *)
 
 val with_engine :
   ?dedup:bool ->
   ?jobs:int ->
-  ?prune:bool ->
   ?budget:Budget.limits ->
   ?seed:int ->
   ?journal:Journal.t option ->
@@ -170,8 +138,62 @@ val with_engine :
   ?por_certs:(string -> string -> bool) ->
   (unit -> 'a) ->
   'a
-(** Run [f] with the given engine defaults, restoring the previous ones
-    afterwards (also on exceptions). *)
+(** [with_engine ... f] runs [f] under the current engine with the
+    given settings replaced, then restores the previous engine (also on
+    exceptions).  The new engine is installed whole, so a triple never
+    observes a half-applied override.  Omitted settings keep their
+    current values; outside any [with_engine] they are the defaults
+    below.
+
+    [dedup] (default on) switches configuration memoization in the
+    scheduler (see [Sched.explore]); [jobs] (default 1, clamped to at
+    least 1) fans a triple's initial states out over that many
+    supervised domains (an exploration that raises is retried once,
+    then quarantined into [worker_crashes]).  Neither changes a report:
+    memoized replay is exact, and the parallel merge reproduces the
+    sequential accounting (including skipping states after the first
+    failing one).
+
+    [por] (default off) arms sleep-set partial-order reduction on the
+    exhaustive rung, with [por_certs] (default: none) as extra
+    independence certificates keyed by action name pair — the static
+    analyzer's algebraic (PCM-commutation) rule, beyond what footprint
+    disjointness shows; queried once per interned class pair, in both
+    orders, so tables may be ordered or symmetrically closed.  Every
+    reachable configuration — hence every verdict, failure and
+    counterexample — stays reachable; only [states] (and, on
+    diamond-heavy programs, wall-clock) drops.  A refuted independence
+    claim demotes that state's exploration to full expansion, logs the
+    located analyzer-lie diagnostic, and never changes the verdict.
+    POR participates in the engine-parameter digest, so journaled
+    verdicts never replay across a POR on/off change (the [states]
+    count would be wrong).
+
+    [budget] (default {!Budget.no_limits}) arms cooperative resource
+    ceilings per triple — wall-clock deadline, major-heap words,
+    explored states.  An unlimited budget takes exactly the historical
+    code path.  A budget trip with failures already found reports those
+    (sound) counterexamples; a failure-free trip drops to
+    seeded-randomized sampling with base seed [seed] (default 1).  The
+    sampled rung re-arms fresh state/heap ceilings under the exhaustive
+    rung's absolute deadline, so the whole ladder observes one
+    wall-clock budget and always terminates with an explicit
+    [tier]/[budget] verdict — never a hang, never a silent partial
+    answer.
+
+    [journal] (default [None]) arms durability: a run's progress is
+    written to the given write-ahead journal at verification-unit
+    granularity (one eligible initial state under one ladder tier), the
+    spec's verdict is journaled on completion, and a resumed run — same
+    triple, same engine parameters, a journal opened with
+    [~resume:true] — replays journaled units instead of re-exploring
+    them, re-enters the ladder at the last journaled rung, and replays a
+    journaled verdict wholesale.  Exploration is deterministic, so a
+    resumed run reaches the verdict the uninterrupted run would have
+    reached; units cut short by a budget trip are timing-dependent and
+    are deliberately not journaled (a resume with a fresh budget
+    legitimately explores further).  See {!Journal} and
+    docs/ROBUSTNESS.md. *)
 
 val check_triple :
   ?fuel:int ->
@@ -179,86 +201,24 @@ val check_triple :
   ?interference:bool ->
   ?env_budget:int ->
   ?max_failures:int ->
-  ?dedup:bool ->
-  ?jobs:int ->
-  ?prune:bool ->
-  ?por:bool ->
-  ?por_certs:(string -> string -> bool) ->
-  ?budget:Budget.limits ->
-  ?seed:int ->
-  ?journal:Journal.t ->
   world:World.t ->
   init:State.t list ->
   'a Prog.t ->
   'a Spec.t ->
   report
 (** Explore every schedule (and, unless [interference] is [false],
-    every environment-step insertion up to [env_budget]) from every
-    coherent initial state satisfying the precondition; check the
-    postcondition in every terminal state and safety of every enabled
-    action along the way.
-
-    [dedup] switches configuration memoization in the scheduler
-    (see [Sched.explore]); [jobs > 1] fans the initial states out over
-    that many supervised domains (an exploration that raises is retried
-    once, then quarantined into [worker_crashes]).  Both default to the
-    engine defaults above, and neither changes the report: memoized
-    replay is exact, and the parallel merge reproduces the sequential
-    accounting (including skipping states after the first failing one).
-
-    [prune] (default: the engine default, off) restricts environment
-    interference to the labels of the joined program+spec footprint when
-    that footprint is known — sound because interference at a label the
-    program never steps and the spec never observes cannot change any
-    verdict, and guarded dynamically by the scheduler's envelope
-    monitor.  Outcome {e counts} may legitimately shrink under pruning;
-    the per-spec verdict and failure set do not.
-
-    [por] (default: the engine default, off) arms sleep-set
-    partial-order reduction on the exhaustive and pruned rungs, with
-    [por_certs] as extra algebraic independence certificates (see
-    {!set_default_por_certs}).  Every reachable configuration — hence
-    every verdict, failure and counterexample — stays reachable; only
-    [states] (and, on diamond-heavy programs, wall-clock) drops.  A
-    refuted independence claim demotes that state's exploration to full
-    expansion, logs the located analyzer-lie diagnostic, and never
-    changes the verdict.  POR participates in the engine-parameter
-    digest, so journaled verdicts never replay across a POR on/off
-    change (the [states] count would be wrong).
-
-    [budget] (default: the engine default, unlimited) arms cooperative
-    resource ceilings — wall-clock deadline, major-heap words, explored
-    states.  An unlimited budget takes exactly the historical code path.
-    A budget trip with failures already found reports those (sound)
-    counterexamples; a failure-free trip drops a tier: exhaustive to
-    footprint-pruned (when the footprint is known and pruning was not
-    already on) to seeded-randomized sampling with base seed [seed].
-    Every tier re-arms fresh state/heap ceilings under the first tier's
-    absolute deadline, so the whole ladder observes one wall-clock
-    budget and always terminates with an explicit [tier]/[budget]
-    verdict — never a hang, never a silent partial answer.
-
-    [journal] (default: the engine default, none) arms durability: the
-    run's progress is written to the given write-ahead journal at
-    verification-unit granularity (one eligible initial state under one
-    ladder tier), the spec's verdict is journaled on completion, and a
-    resumed run — same triple, same engine parameters, a journal opened
-    with [~resume:true] — replays journaled units instead of
-    re-exploring them, re-enters the ladder at the last journaled rung,
-    and replays a journaled verdict wholesale.  Exploration is
-    deterministic, so a resumed run reaches the verdict the
-    uninterrupted run would have reached; units cut short by a budget
-    trip are timing-dependent and are deliberately not journaled (a
-    resume with a fresh budget legitimately explores further). *)
+    every environment-step insertion at every world label up to
+    [env_budget]) from every coherent initial state satisfying the
+    precondition; check the postcondition in every terminal state and
+    safety of every enabled action along the way.  Runs under the
+    current engine (see {!with_engine}): its memoization, domain count,
+    POR, budget ladder and journal. *)
 
 val check_triple_random :
   ?fuel:int ->
   ?trials:int ->
   ?interference:bool ->
   ?max_failures:int ->
-  ?budget:Budget.limits ->
-  ?seed:int ->
-  ?journal:Journal.t ->
   world:World.t ->
   init:State.t list ->
   'a Prog.t ->
@@ -266,7 +226,8 @@ val check_triple_random :
   report
 (** Randomized checking for configurations too large to exhaust:
     [trials] random schedules per initial state with consecutive seeds
-    from [seed] (default: the engine default, 1), so a report's recorded
-    seed replays bit-identically.  A [budget] (default: the engine
-    default) trip stops further trials promptly; the report's tier is
-    always {!Sampled}. *)
+    from the engine's [seed] (see {!with_engine}), so a report's
+    recorded seed replays bit-identically.  An engine [budget] trip
+    stops further trials promptly; the engine's [journal], when armed,
+    records and replays the run.  The report's tier is always
+    {!Sampled}. *)

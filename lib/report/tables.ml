@@ -37,17 +37,11 @@ let pp_time ppf t =
   else Fmt.pf ppf "%5.1fs" t
 
 (* The worst degradation tier across a row's reports: a row is only as
-   trustworthy as its weakest verdict (Sampled < Pruned < Exhaustive). *)
+   trustworthy as its weakest verdict (Sampled < Exhaustive). *)
 let row_tier (r : row1) : Verify.tier =
-  let rank = function
-    | Verify.Exhaustive -> 0
-    | Verify.Pruned -> 1
-    | Verify.Sampled -> 2
-  in
-  List.fold_left
-    (fun worst rep ->
-      if rank rep.Verify.tier > rank worst then rep.Verify.tier else worst)
-    Verify.Exhaustive r.r_reports
+  if List.exists (fun rep -> rep.Verify.tier <> Verify.Exhaustive) r.r_reports
+  then Verify.Sampled
+  else Verify.Exhaustive
 
 (* Configurations explored across a row's reports — the column that
    makes reductions visible: with --por the verdicts must not move but

@@ -21,8 +21,8 @@ val pp_time : Format.formatter -> float -> unit
 
 val row_tier : row1 -> Fcsl_core.Verify.tier
 (** The worst degradation tier across a row's reports (Sampled worse
-    than Pruned worse than Exhaustive): a row is only as trustworthy as
-    its weakest verdict. *)
+    than Exhaustive): a row is only as trustworthy as its weakest
+    verdict. *)
 
 val row_states : row1 -> int
 (** Configurations explored across the row's reports — the States
@@ -42,8 +42,8 @@ val row_expl : row1 -> Fcsl_core.Verify.expl_stats option
 
 val pp_table1_stats : Format.formatter -> row1 list -> unit
 (** The [table1 --stats] companion table: per-row memo hits/misses,
-    POR sleep skips, worst memo-bucket depth, and minor-heap allocation
-    across the row's explorations.  Rows without counters (sampled or
+    POR sleep skips, the most distinct configuration keys in one memo
+    bucket, and minor-heap allocation across the row's explorations.  Rows without counters (sampled or
     replayed verdicts) render dashes. *)
 
 val columns : Registry.concurroid_use list

@@ -2,9 +2,10 @@
    + one executor thread, sharing a journal that doubles as the verdict
    memo and the crash-recovery ledger.
 
-   Why a single executor: the Verify engine's defaults ([with_engine])
-   are process-global, so two jobs running under different QoS budgets
-   concurrently would race on them.  Jobs therefore run one at a time —
+   Why a single executor: the Verify engine ([with_engine]) is one
+   process-global value, so two jobs running under different QoS
+   budgets concurrently would each install theirs over the other's.
+   Jobs therefore run one at a time —
    each exploration still fans out over [sc_jobs] domains internally,
    which is where the parallelism that matters lives.  Everything else
    (socket reads, frame writes, status queries) is fully concurrent.

@@ -1,13 +1,11 @@
-(* The static analyzer: footprint inference over the DSL, the surface
-   race detector, the spec/concurroid lints, and soundness of
-   footprint-based env-step pruning (differential against the unpruned
-   engine, plus the envelope monitor catching a lying annotation). *)
+(* The static analyzer: the footprint domain and its inference over the
+   DSL, the annotation-narrowing check, the surface race detector, and
+   the spec/concurroid lints. *)
 
 open Fcsl_heap
 open Fcsl_core
 open Fcsl_casestudies
 open Fcsl_analysis
-module Aux = Fcsl_pcm.Aux
 
 let check = Alcotest.(check bool)
 let p = Ptr.of_int
@@ -83,10 +81,7 @@ let test_prog_footprint () =
   check "read_pair's program envelope" true
     (Footprint.equal
        (Prog.footprint (Snapshot.read_pair l1))
-       (Footprint.reads l1));
-  check "span's spec envelope" true
-    (Footprint.equal (Spec.footprint (Span.span_spec l1 (p 1)))
-       (Footprint.touches l1))
+       (Footprint.reads l1))
 
 let test_annot_checker () =
   check "honest annotations pass" true
@@ -169,129 +164,6 @@ let test_hide_lints () =
        (fun f -> f.Diag.f_rule = "hide-label-collision")
        (Lint.hide_lints ~loc:"span_root" clash_w prog))
 
-(* --- Pruning soundness. --- *)
-
-(* Same triple, pruned and unpruned: identical verdict and failure set
-   (outcome counts may shrink under pruning, never grow). *)
-let same_verdict name (base : Verify.report) (pruned : Verify.report) =
-  Alcotest.(check string) (name ^ " spec") base.Verify.spec_name
-    pruned.Verify.spec_name;
-  check (name ^ " verdict") (Verify.ok base) (Verify.ok pruned);
-  check (name ^ " outcomes never grow") true
-    (pruned.Verify.outcomes <= base.Verify.outcomes)
-
-(* Single-label world: pruning is the identity. *)
-let test_prune_single_label () =
-  let w = Snapshot.world () and init = Snapshot.init_states () in
-  let run prune =
-    Verify.check_triple ~fuel:14 ~env_budget:2 ~prune ~world:w ~init
-      (Snapshot.read_pair Snapshot.sp_label)
-      (Snapshot.read_pair_spec Snapshot.sp_label)
-  in
-  let base = run false and pruned = run true in
-  same_verdict "snapshot" base pruned;
-  check "snapshot verifies" true (Verify.ok pruned);
-  Alcotest.(check int) "single label: outcome counts identical"
-    base.Verify.outcomes pruned.Verify.outcomes
-
-(* An entangled two-concurroid world: a snapshot client running next to
-   an (untouched) spanning-tree concurroid.  Pruning skips every env
-   step at the tree label and must not change any verdict. *)
-let entangled () =
-  let sp = Label.make "an_ent_span" in
-  let w =
-    World.of_list
-      [ Snapshot.concurroid Snapshot.sp_label; Span.concurroid sp ]
-  in
-  let g = Graph_catalog.graph_of [ (p 1, p 2, Ptr.null); (p 2, Ptr.null, Ptr.null) ] in
-  let span_slice =
-    Slice.make ~self:(Aux.set Ptr.Set.empty) ~joint:(Graph.to_heap g)
-      ~other:(Aux.set Ptr.Set.empty)
-  in
-  let init = List.map (State.add sp span_slice) (Snapshot.init_states ()) in
-  (w, init)
-
-let test_prune_entangled () =
-  let w, init = entangled () in
-  let run ?(env_budget = 1) prune prog =
-    Verify.check_triple ~fuel:12 ~env_budget ~prune ~world:w ~init prog
-      (Snapshot.read_pair_spec Snapshot.sp_label)
-  in
-  let base = run false (Snapshot.read_pair Snapshot.sp_label) in
-  let pruned = run true (Snapshot.read_pair Snapshot.sp_label) in
-  same_verdict "entangled snapshot" base pruned;
-  check "verifies under both" true (Verify.ok base && Verify.ok pruned);
-  check "pruning actually cuts outcomes" true
-    (pruned.Verify.outcomes < base.Verify.outcomes);
-  (* the refutation of the unchecked read survives pruning (the
-     destabilizing write needs two env steps, as in refute_unchecked) *)
-  let base_r =
-    run ~env_budget:2 false (Snapshot.read_pair_unchecked Snapshot.sp_label)
-  in
-  let pruned_r =
-    run ~env_budget:2 true (Snapshot.read_pair_unchecked Snapshot.sp_label)
-  in
-  check "refuted under both" true
-    ((not (Verify.ok base_r)) && not (Verify.ok pruned_r))
-
-(* The whole registry, pruned vs unpruned: identical verdict multiset. *)
-let test_prune_registry () =
-  let module Registry = Fcsl_report.Registry in
-  let verdicts () =
-    List.concat_map
-      (fun c ->
-        List.map
-          (fun r -> (r.Verify.spec_name, Verify.ok r))
-          (c.Registry.c_verify ()))
-      Registry.all
-  in
-  let base = Verify.with_engine ~prune:false verdicts in
-  let pruned = Verify.with_engine ~prune:true verdicts in
-  Alcotest.(check (list (pair string bool)))
-    "registry verdict multisets agree" base pruned
-
-(* A lying annotation must not yield silent unsoundness: the envelope
-   monitor converts it into an explicit failure. *)
-let test_envelope_monitor () =
-  let sn2 = Label.make "an_liar_snap" in
-  let w =
-    World.of_list
-      [ Snapshot.concurroid Snapshot.sp_label; Snapshot.concurroid sn2 ]
-  in
-  (* re-key each known-good snapshot slice at the second label *)
-  let init =
-    List.map
-      (fun st ->
-        State.add sn2 (Option.get (State.find Snapshot.sp_label st)) st)
-      (Snapshot.init_states ())
-  in
-  (* claims to only read the first snapshot, actually writes the second *)
-  let liar =
-    Prog.annot
-      (Footprint.reads Snapshot.sp_label)
-      (Prog.act (Snapshot.write_cell sn2 Snapshot.x_cell 3))
-  in
-  let spec =
-    Spec.with_fp
-      (Footprint.reads Snapshot.sp_label)
-      (Spec.make ~name:"liar"
-         ~pre:(fun _ -> true)
-         ~post:(fun _ _ _ -> true))
-  in
-  let run prune =
-    Verify.check_triple ~fuel:8 ~env_budget:1 ~prune ~world:w ~init liar spec
-  in
-  check "trivial post passes unpruned" true (Verify.ok (run false));
-  let pruned = run true in
-  check "monitor fails the lying envelope" false (Verify.ok pruned);
-  check "failure names the violation" true
-    (List.exists
-       (fun f ->
-         has_substr ~sub:"envelope violation"
-           (Crash.message f.Verify.crash)
-         && Crash.kind f.Verify.crash = Crash.Envelope_violation)
-       pruned.Verify.failures)
-
 let suite =
   [
     Alcotest.test_case "footprint domain" `Quick test_footprint_domain;
@@ -306,12 +178,4 @@ let suite =
     Alcotest.test_case "all Table 1 rows clean" `Quick test_cases_clean;
     Alcotest.test_case "dead-label lint" `Quick test_dead_labels;
     Alcotest.test_case "hide lints" `Quick test_hide_lints;
-    Alcotest.test_case "prune: single-label identity" `Quick
-      test_prune_single_label;
-    Alcotest.test_case "prune: entangled world, same verdicts" `Quick
-      test_prune_entangled;
-    Alcotest.test_case "prune: registry verdicts unchanged" `Quick
-      test_prune_registry;
-    Alcotest.test_case "prune: envelope monitor catches lies" `Quick
-      test_envelope_monitor;
   ]

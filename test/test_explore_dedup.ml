@@ -2,8 +2,8 @@
    the same outcome multiset, completeness verdict, and crash set as the
    naive search (crash messages may differ only in their first-discovery
    schedule annotation), configuration keys identify the diamonds of
-   commuting steps, and [Verify.check_triple ~jobs] reproduces the
-   sequential report. *)
+   commuting steps, and [Verify.check_triple] under
+   [Verify.with_engine ~jobs] reproduces the sequential report. *)
 
 open Fcsl_heap
 open Fcsl_core
@@ -187,20 +187,23 @@ let test_jobs_equal () =
   let module C = Cg_incr.Cas in
   let w = C.world () and init = C.init_states () in
   let run jobs =
-    Verify.check_triple ~fuel:12 ~env_budget:1 ~jobs ~world:w ~init
+    Verify.with_engine ~jobs @@ fun () ->
+    Verify.check_triple ~fuel:12 ~env_budget:1 ~world:w ~init
       (C.incr_pair C.label) (C.incr_pair_spec C.label)
   in
   same_report "cg_incr" (run 1) (run 4);
   let w = Snapshot.world () and init = Snapshot.init_states () in
   let run jobs =
-    Verify.check_triple ~fuel:14 ~env_budget:2 ~jobs ~world:w ~init
+    Verify.with_engine ~jobs @@ fun () ->
+    Verify.check_triple ~fuel:14 ~env_budget:2 ~world:w ~init
       (Snapshot.read_pair Snapshot.sp_label)
       (Snapshot.read_pair_spec Snapshot.sp_label)
   in
   same_report "snapshot" (run 1) (run 4);
   (* and on a refuted spec: the early-stop accounting must also agree *)
   let run jobs =
-    Verify.check_triple ~fuel:14 ~env_budget:2 ~jobs ~world:w ~init
+    Verify.with_engine ~jobs @@ fun () ->
+    Verify.check_triple ~fuel:14 ~env_budget:2 ~world:w ~init
       (Snapshot.read_pair_unchecked Snapshot.sp_label)
       (Snapshot.read_pair_spec Snapshot.sp_label)
   in

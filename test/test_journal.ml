@@ -54,7 +54,7 @@ let sample_records =
       {
         Journal.ri_spec = "spec-a";
         ri_params = "p1";
-        ri_tier = "pruned";
+        ri_tier = "sampled";
         ri_seed = Some 42;
         ri_initial_states = 7;
         ri_outcomes = 1234;

@@ -185,15 +185,18 @@ let test_pool_backoff () =
 (* --- The degradation ladder ------------------------------------------ *)
 
 (* An exploration far larger than the ceiling: the ladder must walk
-   exhaustive -> pruned -> sampled and stop with an explicit degraded
-   verdict, promptly. *)
+   exhaustive -> sampled and stop with an explicit degraded verdict,
+   promptly. *)
 let test_ladder_degrades () =
   with_watchdog 60 (fun () ->
       let module C = Cg_incr.Cas in
       let r =
-        Verify.check_triple ~fuel:12 ~env_budget:1
+        Verify.with_engine
           ~budget:(Budget.limits ~max_states:8 ~deadline_s:20.0 ())
-          ~seed:7 ~world:(C.world ()) ~init:(C.init_states ())
+          ~seed:7
+        @@ fun () ->
+        Verify.check_triple ~fuel:12 ~env_budget:1 ~world:(C.world ())
+          ~init:(C.init_states ())
           (C.incr_pair C.label)
           (C.incr_pair_spec C.label)
       in
@@ -300,21 +303,24 @@ let test_cancel_deadline_race () =
     (Budget.tripped b = final)
 
 (* A cancel trip mid-exhaustive aborts the ladder at its current rung:
-   no pruned or sampled attempt may run after the trip, so a cancelled
-   job can never surface a lower-rung verdict that could be mistaken
-   for honest degradation. *)
+   no sampled attempt may run after the trip, so a cancelled job can
+   never surface a lower-rung verdict that could be mistaken for honest
+   degradation. *)
 let test_cancel_aborts_ladder () =
   with_watchdog 60 (fun () ->
       let module C = Cg_incr.Cas in
       let n = ref 0 in
       let r =
-        Verify.check_triple ~fuel:12 ~env_budget:1
+        Verify.with_engine
           ~budget:
             (Budget.limits
                ~tick_hook:(fun () -> incr n)
                ~cancel:(fun () -> !n > 30)
                ~deadline_s:20.0 ())
-          ~seed:7 ~world:(C.world ()) ~init:(C.init_states ())
+          ~seed:7
+        @@ fun () ->
+        Verify.check_triple ~fuel:12 ~env_budget:1 ~world:(C.world ())
+          ~init:(C.init_states ())
           (C.incr_pair C.label)
           (C.incr_pair_spec C.label)
       in
@@ -329,6 +335,87 @@ let test_cancel_aborts_ladder () =
           "exactly the cancel cause recorded" (Some "cancelled")
           st.Budget.st_tripped
       | None -> Alcotest.fail "no budget stats on a cancelled report")
+
+(* --- The ladder's journal trail --------------------------------------- *)
+
+let write_spec_name = "write_wx(1)"
+
+(* Pair snapshot's x-writer at its Table 1 bounds, journaled into [j]
+   under a 100-state ceiling that its exhaustive space exceeds about
+   twice over, so the run must descend the ladder.  The program declares
+   a footprint, which must not change the descent. *)
+let budgeted_write j =
+  Verify.with_engine
+    ~budget:(Budget.limits ~max_states:100 ())
+    ~seed:7 ~journal:(Some j)
+  @@ fun () ->
+  Verify.check_triple ~fuel:18 ~env_budget:2 ~world:(Snapshot.world ())
+    ~init:(Snapshot.init_states ())
+    (Prog.act (Snapshot.write_cell Snapshot.sp_label Snapshot.x_cell 1))
+    (Snapshot.write_spec Snapshot.sp_label Snapshot.x_cell 1)
+
+let journal_records dir =
+  List.filter
+    (function
+      | Journal.Spec_begin { spec; _ } | Journal.Tier_begin { spec; _ } ->
+        spec = write_spec_name
+      | _ -> false)
+    (fst (Journal.read dir))
+
+let tier_markers dir =
+  List.filter_map
+    (function Journal.Tier_begin { tier; _ } -> Some tier | _ -> None)
+    (journal_records dir)
+
+let with_journal ?resume dir f =
+  let j = Journal.openj ?resume dir in
+  Fun.protect ~finally:(fun () -> Journal.close j) (fun () -> f j)
+
+(* The ladder has two rungs: a failure-free trip of the exhaustive rung
+   goes straight to sampling, and the journal shows exactly that. *)
+let test_ladder_rungs () =
+  with_watchdog 60 (fun () ->
+      let dir = Test_journal.tmp_dir () in
+      let r = with_journal dir budgeted_write in
+      Alcotest.(check (list string))
+        "rungs walked" [ "exhaustive"; "sampled" ] (tier_markers dir);
+      check "tier is sampled" true (r.Verify.tier = Verify.Sampled);
+      Alcotest.(check (option int)) "seed recorded" (Some 7) r.Verify.seed;
+      check "report is degraded" true (Verify.degraded r))
+
+(* A resumed run whose journal already reached the sampled rung
+   re-enters there: it journals no new exhaustive attempt. *)
+let test_ladder_resume_sampled () =
+  with_watchdog 60 (fun () ->
+      let params =
+        let dir = Test_journal.tmp_dir () in
+        ignore (with_journal dir budgeted_write);
+        match
+          List.find_map
+            (function
+              | Journal.Spec_begin { params; _ } -> Some params | _ -> None)
+            (journal_records dir)
+        with
+        | Some p -> p
+        | None -> Alcotest.fail "no Spec_begin journaled"
+      in
+      let dir = Test_journal.tmp_dir () in
+      with_journal dir (fun j ->
+          List.iter (Journal.append j)
+            [
+              Journal.Spec_begin { spec = write_spec_name; params };
+              Journal.Tier_begin
+                { spec = write_spec_name; tier = "exhaustive"; seed = None };
+              Journal.Tier_begin
+                { spec = write_spec_name; tier = "sampled"; seed = Some 7 };
+            ]);
+      let r = with_journal ~resume:true dir budgeted_write in
+      Alcotest.(check (list string))
+        "only a sampled marker appended"
+        [ "exhaustive"; "sampled"; "sampled" ]
+        (tier_markers dir);
+      check "tier is sampled" true (r.Verify.tier = Verify.Sampled);
+      Alcotest.(check (option int)) "seed recorded" (Some 7) r.Verify.seed)
 
 (* --- Seeded replay --------------------------------------------------- *)
 
@@ -351,7 +438,8 @@ let prop_seeded_replay =
        QCheck2.Gen.(pair (int_range 0 10_000) (int_range 6 14))
        (fun (seed, fuel) ->
          let run () =
-           Verify.check_triple_random ~fuel ~trials:20 ~seed
+           Verify.with_engine ~seed @@ fun () ->
+           Verify.check_triple_random ~fuel ~trials:20
              ~world:(Snapshot.world ())
              ~init:(Snapshot.init_states ())
              (Snapshot.read_pair Snapshot.sp_label)
@@ -374,8 +462,8 @@ let prop_seeded_replay =
 let prop_crash_json_round_trip =
   let all_kinds =
     [
-      Crash.Unsafe_action; Crash.Ghost_algebra; Crash.Envelope_violation;
-      Crash.Postcondition; Crash.Budget_exhausted; Crash.Injected_fault;
+      Crash.Unsafe_action; Crash.Ghost_algebra; Crash.Postcondition;
+      Crash.Budget_exhausted; Crash.Injected_fault;
       Crash.Internal_error; Crash.Analyzer_lie; Crash.Deadlock;
       Crash.Protocol_error; Crash.Io_fault;
     ]
@@ -462,4 +550,8 @@ let suite =
       test_crash_json_errors;
     Alcotest.test_case "chaos: cheap registry row survives all modes" `Quick
       test_chaos_subset;
+    Alcotest.test_case "ladder: journal shows exhaustive then sampled" `Quick
+      test_ladder_rungs;
+    Alcotest.test_case "ladder: resume re-enters at the sampled rung" `Quick
+      test_ladder_resume_sampled;
   ]
