@@ -915,18 +915,18 @@ let serve_target_speedup = 10.0
 let serve_memo_trials = 5
 let serve_clients = 4
 
-(* The overload gate: a saturated queue may slow the gold fast lane —
-   probes wait behind whichever exploration the executor is running —
-   but degradation must stay graceful, not unbounded. *)
+(* The overload gate: a saturated queue may slow the gold memo probes —
+   they are answered from the verdict table, but share the server lock
+   and the CPU with the flood's admissions and explorations — yet
+   degradation must stay graceful, not unbounded. *)
 let serve_overload_max_degrade = 5.0
 let serve_overload_queue_bound = 2
 
 (* The per-job delay is the flood's dominant, uniform work unit: the
    flood cases below are the registry's near-free rows, so queue
-   pressure (and the gold probe's wait) is set by this knob rather
-   than by whichever case's exploration happens to be running — that
-   keeps the degradation ratio a property of the queue, not of the
-   workload mix. *)
+   pressure is set by this knob rather than by whichever case's
+   exploration happens to be running — that keeps the degradation ratio
+   a property of the queue, not of the workload mix. *)
 let serve_overload_job_delay_s = 0.08
 
 let serve_overload_flood_cases =
@@ -1036,7 +1036,7 @@ let serve_comparison () =
    keeps probing a memoized case.  Reported: the shed rate the flood
    observed and the gold p50 during the flood vs on the quiet daemon.
    Gated: sheds happened at all (the queue really saturated) and the
-   gold fast lane degraded by less than
+   gold memo probes degraded by less than
    [serve_overload_max_degrade]. *)
 let serve_overload_run () =
   with_serve_daemon ~tag:"-overload" ~queue_bound:serve_overload_queue_bound
@@ -1092,8 +1092,8 @@ let serve_overload_run () =
       let threads =
         List.init serve_clients (fun i -> Thread.create (flooder i) ())
       in
-      (* gold probes for as long as the flood lasts: the memo fast lane
-         is never shed, so every probe must come back a verdict *)
+      (* gold probes for as long as the flood lasts: a memo hit is
+         never shed, so every probe must come back a verdict *)
       let rec probes acc =
         let s, _ = timed_submit cn probe_case in
         if Atomic.get running > 0 then begin

@@ -657,7 +657,7 @@ let run_service_client_kill ?cases () =
               in
               Client.abandon c1;
               (* wait for the ledger to settle the orphan *)
-              let spec = "job/" ^ name in
+              let spec = "job/" ^ Protocol.digest ~case:name ~qos:Protocol.Gold in
               let tiers_of () =
                 let records, _ = Journal.read dir in
                 List.filter_map
@@ -1051,8 +1051,11 @@ let journal_fault_scenario ~name ~io ~wound_expected ?(after = fun _ -> Ok ())
          in-memory index keeps answering for this process *)
       let extra = enospc_report 999 in
       Journal.append j (Journal.Spec_done extra);
+      let lookup (r : Journal.report_image) =
+        Journal.find_spec_done j ~spec:r.Journal.ri_spec ~params:r.Journal.ri_params
+      in
       let* () =
-        match Journal.verdict_of_digest j ~digest:extra.Journal.ri_params with
+        match lookup extra with
         | Some r when r = extra -> Ok ()
         | _ -> Error "in-memory lookup lost a post-fault append"
       in
@@ -1060,7 +1063,7 @@ let journal_fault_scenario ~name ~io ~wound_expected ?(after = fun _ -> Ok ())
         List.fold_left
           (fun acc (r : Journal.report_image) ->
             let* () = acc in
-            match Journal.verdict_of_digest j ~digest:r.Journal.ri_params with
+            match lookup r with
             | Some r' when r' = r -> Ok ()
             | Some _ ->
               Error (r.Journal.ri_spec ^ ": in-memory verdict flipped")
@@ -1253,7 +1256,7 @@ let run_client_retry_partition ?cases () =
           let expect = baseline_canon c in
           with_server ~tag:"part" ~job_delay_s:0.2 (fun ~socket ~dir ->
               let front = socket ^ ".part" in
-              let spec = "job/" ^ name in
+              let spec = "job/" ^ Protocol.digest ~case:name ~qos:Protocol.Gold in
               let wait_complete () =
                 (* sever only after the verdict is durably journaled as
                    a memoizable record, so the retry window is exactly
@@ -1316,10 +1319,11 @@ let run_client_retry_partition ?cases () =
 
 (* Saturate a small-queue daemon and demand graceful degradation with
    every promise kept: bronze shed with a structured reason, gold
-   admitted but demoted (verdict marked [degraded]), the memo fast lane
-   never shed, shed decisions journaled, and — the phantom-verdict
-   guard — a post-flood gold resubmission re-exploring at full QoS to
-   exactly the baseline verdict instead of reusing the demoted one. *)
+   admitted but demoted (verdict marked [degraded]), a memo hit
+   answered at once and never shed, shed decisions journaled, and — the
+   phantom-verdict guard — a post-flood gold resubmission re-exploring
+   at full QoS to exactly the baseline verdict instead of reusing the
+   demoted one. *)
 let run_service_overload_flood ?cases () =
   List.map
     (fun c ->
@@ -1342,7 +1346,8 @@ let run_service_overload_flood ?cases () =
             let expect_demote = baseline_canon demote in
             with_server ~tag:"flood" ~job_delay_s:0.4 ~queue_bound:8
               ~overload_high:1 ~overload_low:0 (fun ~socket ~dir ->
-                (* prime the memo fast lane before any pressure *)
+                (* put the case's gold verdict in the memo before any
+                   pressure *)
                 let c0 = Client.connect ~socket in
                 let* _ =
                   Result.map_error
@@ -1385,7 +1390,9 @@ let run_service_overload_flood ?cases () =
                       (Fmt.str "bronze under overload: wanted a shed, got %a"
                          Client.pp_submit_error e)
                 in
-                (* the memo fast lane answers even under pressure *)
+                (* the memo answers even under pressure: a hit never
+                   waits for the executor, so the overload state the
+                   fillers set still holds for the gold probe below *)
                 let memo_conn = Client.connect ~socket in
                 let memo_res =
                   Client.submit ~timeout_s:60. memo_conn ~case:name
@@ -1400,7 +1407,7 @@ let run_service_overload_flood ?cases () =
                   | Error e ->
                     cleanup ();
                     Error
-                      (Fmt.str "memo fast lane was shed under overload: %a"
+                      (Fmt.str "memo hit was shed under overload: %a"
                          Client.pp_submit_error e)
                 in
                 (* gold during overload: admitted, demoted one rung,
@@ -1492,7 +1499,7 @@ let run_service_overload_flood ?cases () =
                 else
                   Ok
                     (Fmt.str
-                       "bronze shed (%s), memo fast lane served, gold \
+                       "bronze shed (%s), memo hit served, gold \
                         demoted with degraded=true, post-flood resubmit \
                         re-explored to baseline, %d sheds journaled"
                        shed_reason shed_total))

@@ -80,7 +80,8 @@ type mode =
       (** saturate a small-queue daemon past its high watermark:
           bronze submissions must shed with a structured reason,
           gold must be admitted but demoted one QoS rung (verdict
-          marked [degraded]), the memo fast lane must never be shed,
+          marked [degraded]), a memo hit must be answered from the
+          verdict table at once and never shed,
           shed decisions must be journaled and surfaced in health,
           and a post-flood gold resubmission must re-explore at full
           QoS to the baseline verdict — a demoted verdict is never a

@@ -788,22 +788,6 @@ let close t =
 let find_spec_done t ~spec ~params =
   locked t (fun () -> Hashtbl.find_opt t.ix.ix_spec_done (spec, params))
 
-(* Digest-keyed lookup for the service's memo path: the caller knows
-   the cache key but not which spec recorded it.  Torn-tail recovery
-   already dropped any half-written verdict before the index was built,
-   so a digest whose record was torn reads as [None] — degradation,
-   never a stale answer.  Service digests embed the case name, so at
-   most one record matches; if several specs ever shared a digest the
-   first hit is returned. *)
-let verdict_of_digest t ~digest =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun (_, params) ri acc ->
-          match acc with
-          | Some _ -> acc
-          | None -> if String.equal params digest then Some ri else None)
-        t.ix.ix_spec_done None)
-
 let find_state_done t ~spec ~tier ~index =
   locked t (fun () -> Hashtbl.find_opt t.ix.ix_state_done (spec, tier, index))
 

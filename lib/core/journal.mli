@@ -192,14 +192,6 @@ val io_failure : t -> Crash.t option
 val find_spec_done : t -> spec:string -> params:string -> report_image option
 (** The journaled verdict of [spec] under exactly [params], if any. *)
 
-val verdict_of_digest : t -> digest:string -> report_image option
-(** Read-only lookup of a completed verdict by its parameter digest
-    alone — the service's memo path, which knows the cache key before
-    it knows which spec wrote it.  A record lost to a torn tail was
-    dropped at recovery, so it reads as [None] (re-verify), never as a
-    stale verdict.  If several specs share a digest (service digests
-    embed the case name, so they don't), an arbitrary match wins. *)
-
 val find_state_done :
   t -> spec:string -> tier:string -> index:int -> state_image option
 

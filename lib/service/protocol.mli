@@ -62,9 +62,9 @@ val request_to_json : request -> Json.t
 
 val pong : string
 val ack : job:int -> digest:string -> position:int -> cached:bool -> string
-(** [cached] when {!Journal.verdict_of_digest} already holds a verdict
-    for this digest — the job will be served from the memo without
-    occupying a cold-queue slot. *)
+(** [cached] when the daemon already holds the full-tier verdict for
+    this digest: the memo [verdict] frame follows at once, and the
+    submission never becomes a queued job ([position] is 0). *)
 
 val shed : reason:string -> queue:int -> string
 (** The structured overload answer: ["queue-full"] past the bound,

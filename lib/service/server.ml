@@ -1,26 +1,27 @@
 (* The verification daemon: accept loop + per-connection reader threads
-   + one executor thread, sharing a journal that doubles as the verdict
-   memo and the crash-recovery ledger.
+   + one executor thread, sharing a journal that holds every spec
+   verdict and doubles as the crash-recovery ledger.
 
    Why a single executor: the Verify engine ([with_engine]) is one
    process-global value, so two jobs running under different QoS
    budgets concurrently would each install theirs over the other's.
-   Jobs therefore run one at a time —
+   Cold jobs therefore run one at a time —
    each exploration still fans out over [sc_jobs] domains internally,
-   which is where the parallelism that matters lives.  Everything else
-   (socket reads, frame writes, status queries) is fully concurrent.
+   which is where the parallelism that matters lives.  A memo hit is
+   no job: its reader thread answers it from the table of finished
+   verdicts.  Everything else is fully concurrent.
 
    Robustness invariants, in one place:
    - overload: cold submissions past [sc_queue_bound] get a structured
-     shed frame; memo-known submissions are always accepted (serving a
-     journaled verdict costs no exploration, so shedding it would be
-     degradation for nothing);
+     shed frame; memo hits are always answered (they cost no
+     exploration, so shedding one would be degradation for nothing);
    - disconnects: a job whose last waiter hangs up has its budget's
      cancel probe flipped; the exploration winds down cooperatively
      within one tick and the aborted verdict is never journaled;
-   - crashes: the job ledger (synthetic "job/CASE" records in the same
-     WAL) marks submissions at enqueue; a daemon restarted with
-     [sc_resume] re-enqueues exactly the ledger's in-flight entries;
+   - crashes: the job ledger (synthetic "job/DIGEST" records in the
+     same WAL) marks submissions at enqueue; a daemon restarted with
+     [sc_resume] re-enqueues exactly the ledger's in-flight entries and
+     refills the verdict table from the finished ones;
    - drain: SIGTERM (or a drain frame) stops intake, finishes the
      queue, flushes the journal and exits 0. *)
 
@@ -109,7 +110,6 @@ type job = {
          when admission happened under overload.  A demoted verdict is
          marked [degraded] and never memoized as the full-tier answer. *)
   jb_digest : string;
-  jb_cached : bool;  (* memo-known at submit: skips the cold queue *)
   jb_keep : bool;  (* resumed from the ledger: runs without waiters *)
   jb_cancel : bool Atomic.t;
   jb_ticks : int Atomic.t;
@@ -123,8 +123,10 @@ type t = {
   cv : Condition.t;  (* wakes the executor: new work or drain *)
   jrnl : Journal.t;
   mutable cold : job list;  (* FIFO, bounded by sc_queue_bound *)
-  mutable fast : job list;  (* memo-known FIFO, never shed *)
   live : (string, job) Hashtbl.t;  (* digest -> queued/running job *)
+  verdicts : (string, Verify.report list) Hashtbl.t;
+      (* digest -> finished full-tier verdict: the memo, at most one
+         entry per case and tier *)
   mutable next_id : int;
   mutable draining : bool;
   mutable exec_done : bool;
@@ -144,7 +146,9 @@ type t = {
   mutable memo_misses : int;
 }
 
-let ledger_spec case = "job/" ^ case
+(* One ledger spec per digest, so compaction, which keeps the newest
+   begin per spec, keeps every tier's in-flight job. *)
+let ledger_spec digest = "job/" ^ digest
 
 let is_ledger_spec s =
   String.length s > 4 && String.sub s 0 4 = "job/"
@@ -166,13 +170,13 @@ let locked t f =
 
 (* A ledger record for the job itself, riding the same WAL as the spec
    verdicts.  [tier] distinguishes a finished job ("service") from a
-   cancelled one ("service-cancelled"): only the former is a memo hit
-   for [Journal.verdict_of_digest], and neither resumes. *)
+   cancelled one ("service-cancelled"): only the former is a memo hit,
+   and neither resumes. *)
 let ledger_done t job ~tier ~cancelled ~elapsed_s ~states =
   Journal.append t.jrnl
     (Journal.Spec_done
        {
-         Journal.ri_spec = ledger_spec job.jb_case;
+         Journal.ri_spec = ledger_spec job.jb_digest;
          ri_params = job.jb_digest;
          ri_tier = tier;
          ri_seed = None;
@@ -195,16 +199,6 @@ let ledger_done t job ~tier ~cancelled ~elapsed_s ~states =
             else None);
        });
   Journal.flush t.jrnl
-
-(* Is this digest already served by the journal?  Only a *finished*,
-   full-tier job ledger record counts: a cancelled one must re-explore,
-   and a demoted one ("service-degraded") answered under a lower budget
-   than its digest promises — serving it as the memo would be a phantom
-   full-tier verdict. *)
-let memo_hit t digest =
-  match Journal.verdict_of_digest t.jrnl ~digest with
-  | Some ri -> ri.Journal.ri_tier = "service"
-  | None -> false
 
 (* --- Overload state machine -------------------------------------------- *)
 
@@ -261,7 +255,7 @@ let admit_rate t conn =
 
 (* --- Creation and resume ----------------------------------------------- *)
 
-let mkjob t ~case ~qos ?(run_qos = None) ~cached ~keep () =
+let mkjob t ~case ~qos ?(run_qos = None) ~keep () =
   let id = t.next_id in
   t.next_id <- id + 1;
   {
@@ -270,7 +264,6 @@ let mkjob t ~case ~qos ?(run_qos = None) ~cached ~keep () =
     jb_qos = qos;
     jb_run_qos = Option.value run_qos ~default:qos;
     jb_digest = Protocol.digest ~case ~qos;
-    jb_cached = cached;
     jb_keep = keep;
     jb_cancel = Atomic.make false;
     jb_ticks = Atomic.make 0;
@@ -292,8 +285,8 @@ let create cfg =
       cv = Condition.create ();
       jrnl;
       cold = [];
-      fast = [];
       live = Hashtbl.create 16;
+      verdicts = Hashtbl.create 16;
       next_id = 1;
       draining = false;
       exec_done = false;
@@ -309,36 +302,52 @@ let create cfg =
       memo_misses = 0;
     }
   in
-  (* Crash recovery: the ledger's in-flight entries are jobs a previous
-     daemon accepted but never finished (and never cancelled — a
-     cancelled job writes its terminal record immediately).  Re-enqueue
-     them as waiter-less keepers: their clients are gone, but the
-     verdicts become durable for everyone who resubmits the digest.
-     The shed ledger restores the cumulative shed counter the same
-     way, so health accounting is honest across the restart. *)
+  (* Crash recovery: one pass over the ledger, keyed by params (the
+     digest, so journals with one "job/CASE" spec for every tier resume
+     too); a digest's newest record decides.  A begin — accepted, never
+     finished, never cancelled — is re-enqueued as a waiter-less keeper.
+     A full-tier verdict is replayed into the table while the engine is
+     free; that explores nothing (the ledger record follows its spec
+     verdicts, and a torn tail only cuts a suffix), and a replay that
+     raises leaves its digest to run cold.  The shed ledger restores the
+     cumulative shed counter. *)
   if cfg.sc_resume then begin
-    let records, _torn = Journal.read cfg.sc_journal_dir in
+    let latest = Hashtbl.create 16 and order = ref [] in
+    let note digest tier =
+      if not (Hashtbl.mem latest digest) then order := digest :: !order;
+      Hashtbl.replace latest digest tier
+    in
     List.iter
       (function
         | Journal.Spec_done ri when is_shed_spec ri.Journal.ri_spec ->
           t.shed_total <- max t.shed_total ri.Journal.ri_states
+        | Journal.Spec_done ri when is_ledger_spec ri.Journal.ri_spec ->
+          note ri.Journal.ri_params (Some ri.Journal.ri_tier)
+        | Journal.Spec_begin { spec; params } when is_ledger_spec spec ->
+          note params None
         | _ -> ())
-      records;
-    let jobs = Journal.jobs_of_records records in
+      (Journal.recovered jrnl);
     List.iter
-      (fun (j : Journal.job) ->
-        if j.Journal.j_status = `In_flight && is_ledger_spec j.Journal.j_spec
-        then
+      (fun digest ->
+        match
+          ( Hashtbl.find latest digest,
+            Option.bind (Protocol.case_of_digest digest) Registry.find,
+            Protocol.qos_of_digest digest )
+        with
+        | None, Some c, Some qos ->
+          let job = mkjob t ~case:c.Registry.c_name ~qos ~keep:true () in
+          Hashtbl.replace t.live job.jb_digest job;
+          t.cold <- t.cold @ [ job ]
+        | Some "service", Some c, Some qos -> (
           match
-            ( Protocol.case_of_digest j.Journal.j_params,
-              Protocol.qos_of_digest j.Journal.j_params )
+            Verify.with_engine ~jobs:cfg.sc_jobs
+              ~budget:(Protocol.qos_limits qos) ~journal:(Some jrnl)
+              c.Registry.c_verify
           with
-          | Some case, Some qos when Registry.find case <> None ->
-            let job = mkjob t ~case ~qos ~cached:false ~keep:true () in
-            Hashtbl.replace t.live job.jb_digest job;
-            t.cold <- t.cold @ [ job ]
-          | _ -> ())
-      jobs;
+          | reports -> Hashtbl.replace t.verdicts digest reports
+          | exception _ -> ())
+        | _ -> ())
+      (List.rev !order);
     (* the overload state is a function of the restored queue depth —
        recomputing it here is exactly the honest restoration: a daemon
        that died overloaded resumes overloaded *)
@@ -460,7 +469,7 @@ let run_job t job =
   drain_wake t;
   let elapsed_s = now () -. started in
   let fresh_units = Journal.completed_units t.jrnl - units0 in
-  let frame =
+  let tier, frame =
     match outcome with
     | Ok reports ->
       let cancelled = List.exists Verify.cancelled reports in
@@ -470,34 +479,32 @@ let run_job t job =
          job's ledger tier is "service-degraded": real evidence for the
          waiters it answers, but never a memo hit for its full-tier
          digest — that would be a phantom verdict. *)
-      if cancelled then
-        ledger_done t job ~tier:"service-cancelled" ~cancelled:true ~elapsed_s
-          ~states:(Atomic.get job.jb_ticks)
-      else
-        ledger_done t job
-          ~tier:(if degraded then "service-degraded" else "service")
-          ~cancelled:false ~elapsed_s
-          ~states:(Atomic.get job.jb_ticks);
-      Protocol.verdict ~job:job.jb_id ~case:job.jb_case ~digest:job.jb_digest
-        ~memo:(fresh_units = 0) ~fresh_units ~cancelled ~degraded ~reports ()
+      ( (if cancelled then "service-cancelled"
+         else if degraded then "service-degraded"
+         else "service"),
+        Protocol.verdict ~job:job.jb_id ~case:job.jb_case ~digest:job.jb_digest
+          ~memo:(fresh_units = 0) ~fresh_units ~cancelled ~degraded ~reports () )
     | Error crash ->
       (* An exception escaping the engine is an internal error; the
          ledger keeps the job out of the resume set (re-running a
          crasher in a loop would be a restart storm), and the client
          gets the structured crash. *)
-      ledger_done t job ~tier:"service-error" ~cancelled:true ~elapsed_s
-        ~states:(Atomic.get job.jb_ticks);
-      Protocol.error_frame ~job:job.jb_id crash
+      ("service-error", Protocol.error_frame ~job:job.jb_id crash)
   in
-  (* Mark the job done, unmap it and snapshot the waiters in ONE
-     critical section before broadcasting the verdict: a submit racing
-     this completion must either attach before the snapshot (and so
-     receive the frame below) or find the job gone and take the memo
-     path.  Flipping the state after the broadcast leaves a window
-     where a freshly-attached waiter is acked but never answered. *)
+  (* Mark the job done, publish its verdict, unmap it and snapshot the
+     waiters in ONE critical section before broadcasting the verdict: a
+     submit racing this completion must either attach before the
+     snapshot (and so receive the frame below) or find the job gone and
+     the verdict table already answering.  Flipping the state after the
+     broadcast leaves a window where a freshly-attached waiter is acked
+     but never answered. *)
   let waiters =
     locked t (fun () ->
         job.jb_state <- `Done;
+        (match outcome with
+        | Ok reports when tier = "service" ->
+          Hashtbl.replace t.verdicts job.jb_digest reports
+        | _ -> ());
         (* Only unmap the digest if it still maps to this job: a
            cancelled-then-resubmitted digest already points at its
            successor. *)
@@ -507,30 +514,30 @@ let run_job t job =
         t.last_activity <- now ();
         job.jb_waiters)
   in
+  (* The ledger record goes out after the table answers for the digest,
+     so whoever reads it off disk finds the memo serving.  A daemon
+     killed between the two re-runs the job on resume, which replays
+     its spec verdicts: no verdict can change. *)
+  ledger_done t job ~tier
+    ~cancelled:(tier = "service-cancelled" || tier = "service-error")
+    ~elapsed_s ~states:(Atomic.get job.jb_ticks);
   List.iter (fun c -> send c frame) waiters
 
 let exec_loop t =
   let rec next () =
     Mutex.lock t.mu;
     let rec wait () =
-      if t.fast = [] && t.cold = [] then
+      match t.cold with
+      | j :: rest ->
+        t.cold <- rest;
+        update_overload t;
+        Some j
+      | [] ->
         if t.draining then None
         else begin
           Condition.wait t.cv t.mu;
           wait ()
         end
-      else
-        match t.fast with
-        | j :: rest ->
-          t.fast <- rest;
-          Some j
-        | [] -> (
-          match t.cold with
-          | j :: rest ->
-            t.cold <- rest;
-            update_overload t;
-            Some j
-          | [] -> None)
     in
     let picked = wait () in
     (match picked with
@@ -551,10 +558,13 @@ let exec_loop t =
 let proto_error msg = Crash.make Crash.Protocol_error msg
 
 let submit t conn ~case ~qos =
+  let digest = Protocol.digest ~case ~qos in
+  (* a memo hit's job id and stored reports: its verdict follows the
+     ack, rendered outside the lock *)
+  let hit = ref None in
   let reply =
     locked t (fun () ->
         t.last_activity <- now ();
-        let digest = Protocol.digest ~case ~qos in
         if t.draining then shed_reply t ~case ~digest ~reason:"draining"
         else if Registry.find case = None then
           Protocol.error_frame (proto_error (Printf.sprintf "unknown case %S" case))
@@ -573,28 +583,24 @@ let submit t conn ~case ~qos =
             (* In-flight dedup: N clients asking for one digest share
                one exploration and all get the same verdict frame. *)
             j.jb_waiters <- conn :: j.jb_waiters;
-            Protocol.ack ~job:j.jb_id ~digest ~position:0 ~cached:j.jb_cached
+            Protocol.ack ~job:j.jb_id ~digest ~position:0 ~cached:false
           | None ->
-            let cached = memo_hit t digest in
+            let memo = Hashtbl.find_opt t.verdicts digest in
             update_overload t;
-            if cached then begin
-              (* the memo fast lane is never shed and never demoted:
-                 serving a journaled verdict costs no exploration *)
+            if Option.is_some memo then begin
+              (* a memo hit is never queued, shed, rate-limited or
+                 demoted: it costs no exploration *)
               t.memo_hits <- t.memo_hits + 1;
-              let job = mkjob t ~case ~qos ~cached:true ~keep:false () in
-              job.jb_waiters <- [ conn ];
-              Hashtbl.replace t.live digest job;
-              t.fast <- t.fast @ [ job ];
-              Condition.broadcast t.cv;
-              Protocol.ack ~job:job.jb_id ~digest
-                ~position:(List.length t.fast) ~cached:true
+              let id = t.next_id in
+              t.next_id <- id + 1;
+              hit := Option.map (fun reports -> (id, reports)) memo;
+              Protocol.ack ~job:id ~digest ~position:0 ~cached:true
             end
             else if not (admit_rate t conn) then
               (* per-client token bucket: one flooding client is
                  answered with structured sheds before it can saturate
                  the queue everyone shares.  Only fresh work spends
-                 tokens — attaching and memo hits cost no exploration,
-                 so the memo fast lane is never rate-shed either *)
+                 tokens — attaching and memo hits cost no exploration *)
               shed_reply t ~case ~digest ~reason:"rate-limited"
             else if
               t.overload = Protocol.Overloaded && qos = Protocol.Bronze
@@ -612,14 +618,14 @@ let submit t conn ~case ~qos =
                 else None
               in
               t.memo_misses <- t.memo_misses + 1;
-              let job = mkjob t ~case ~qos ~run_qos ~cached:false ~keep:false () in
+              let job = mkjob t ~case ~qos ~run_qos ~keep:false () in
               job.jb_waiters <- [ conn ];
               Hashtbl.replace t.live digest job;
               (* The ledger entry makes the accepted job durable
                  before any exploration starts: a daemon killed right
                  here resumes it. *)
               Journal.append t.jrnl
-                (Journal.Spec_begin { spec = ledger_spec case; params = digest });
+                (Journal.Spec_begin { spec = ledger_spec digest; params = digest });
               Journal.flush t.jrnl;
               t.cold <- t.cold @ [ job ];
               update_overload t;
@@ -629,7 +635,13 @@ let submit t conn ~case ~qos =
             end
         end)
   in
-  send conn reply
+  send conn reply;
+  Option.iter
+    (fun (job, reports) ->
+      send conn
+        (Protocol.verdict ~job ~case ~digest ~memo:true ~fresh_units:0
+           ~cancelled:false ~reports ()))
+    !hit
 
 (* The live health gauges, computed under [mu].  Shared by the health
    frame, the ready frame and the status endpoint's extra fields. *)
@@ -665,7 +677,6 @@ let status_frame t =
         [
           ("type", Json.Str "status");
           ("queue", Json.Int (List.length t.cold));
-          ("fast", Json.Int (List.length t.fast));
           ("draining", Json.Bool draining);
         ]
         @ health)
@@ -690,14 +701,12 @@ let withdraw_conn_from t conn job =
          nobody wants. *)
       job.jb_state <- `Cancelled;
       t.cold <- List.filter (fun j -> j != job) t.cold;
-      t.fast <- List.filter (fun j -> j != job) t.fast;
       update_overload t;
       (match Hashtbl.find_opt t.live job.jb_digest with
       | Some j when j == job -> Hashtbl.remove t.live job.jb_digest
       | _ -> ());
-      if not job.jb_cached then
-        ledger_done t job ~tier:"service-cancelled" ~cancelled:true
-          ~elapsed_s:0. ~states:0
+      ledger_done t job ~tier:"service-cancelled" ~cancelled:true
+        ~elapsed_s:0. ~states:0
     | `Running ->
       (* The budget's cancel probe trips within one tick; the verdict
          is reported cancelled and never journaled. *)
@@ -805,7 +814,7 @@ let run t =
     | Some idle ->
       let quiet =
         locked t (fun () ->
-            t.conns = [] && t.cold = [] && t.fast = []
+            t.conns = [] && t.cold = []
             && now () -. t.last_activity > idle)
       in
       if quiet then drain t

@@ -1,11 +1,13 @@
 (** The verification daemon behind [fcsl serve]: a Unix-domain-socket
-    server scheduling registry cases on the engine, with journal-backed
-    memoized verdicts (see docs/SERVICE.md).
+    server scheduling registry cases on the engine, with memoized
+    verdicts (see docs/SERVICE.md).
 
     Concurrency shape: one accept loop, one reader thread per
-    connection, one executor thread running jobs sequentially (the
+    connection, one executor thread running cold jobs sequentially (the
     engine's [with_engine] defaults are process-global; the exploration
-    itself fans out over [sc_jobs] domains).  Robustness contract:
+    itself fans out over [sc_jobs] domains).  A memo hit is answered by
+    its connection's reader thread from an in-memory table of finished
+    full-tier verdicts, and never becomes a job.  Robustness contract:
     bounded cold queue with structured shed frames, client-disconnect
     cancellation through the budget's cancel probe, crash-safe resume
     from the job ledger, graceful drain on SIGTERM. *)
@@ -19,8 +21,8 @@ type config = {
       (** recover the journal and re-enqueue in-flight ledger jobs *)
   sc_fsync : Journal.fsync_policy option;  (** [None]: journal default *)
   sc_queue_bound : int;
-      (** cold-queue capacity; submissions past it are shed.  Memo-known
-          submissions bypass the bound — they cost no exploration *)
+      (** cold-queue capacity; submissions past it are shed.  Memo hits
+          never enter the queue — they cost no exploration *)
   sc_jobs : int;  (** domains per exploration (not concurrent jobs) *)
   sc_signals : bool;
       (** install SIGTERM/SIGINT drain handlers (off for in-process
@@ -67,7 +69,9 @@ type t
 
 val create : config -> t
 (** Open (or recover) the journal and, under [sc_resume], re-enqueue
-    the ledger's in-flight jobs as waiter-less keepers. *)
+    the ledger's in-flight jobs as waiter-less keepers and replay each
+    finished full-tier digest's verdict from the journal into the memo
+    table, all before {!run} binds the socket. *)
 
 val run : t -> unit
 (** Serve until drained: blocks the calling thread through the accept

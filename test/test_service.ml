@@ -1,11 +1,12 @@
 (* The verification service (docs/SERVICE.md): the wire JSON layer,
    protocol parsing (malformed frames are structured protocol-error
-   crashes, never exceptions), the journal's read-only digest lookup —
-   including the torn-tail case, which must forget the verdict rather
-   than serve a stale one — and the daemon end to end: cold vs
-   memoized verdicts, concurrent same-digest dedup (one exploration, N
-   identical verdicts), queue shedding, graceful drain, disconnect
-   cancellation, and crash-safe resume of in-flight ledger jobs. *)
+   crashes, never exceptions), the journal's ledger lookup — including
+   the torn-tail case, which must forget the verdict rather than serve
+   a stale one — and the daemon end to end: cold vs memoized verdicts,
+   memo hits answered beside a busy executor, concurrent same-digest
+   dedup (one exploration, N identical verdicts), queue shedding,
+   graceful drain, disconnect cancellation, and crash-safe resume of
+   in-flight ledger jobs and of the verdict table. *)
 
 open Fcsl_core
 module Json = Fcsl_service.Json
@@ -51,6 +52,23 @@ let with_server ?(resume = false) ?queue_bound ?(job_delay_s = 0.)
       f ~socket ~dir)
 
 let failf fmt = Alcotest.failf fmt
+
+(* The daemon's ledger spec for a gold submission: one per digest. *)
+let ledger case = "job/" ^ Protocol.digest ~case ~qos:Protocol.Gold
+
+(* Poll the journal on disk until some record satisfies [pred]. *)
+let await_record ?(timeout_s = 60.) dir pred =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    let records, _ = Journal.read dir in
+    List.exists pred records
+    || Unix.gettimeofday () < deadline
+       && begin
+            Thread.delay 0.05;
+            go ()
+          end
+  in
+  go ()
 
 (* --- wire JSON ------------------------------------------------------- *)
 
@@ -139,7 +157,7 @@ let test_budget_cancel_probe () =
   Budget.tick b;
   check "the trip is sticky" true (Budget.tripped b = Some Budget.Cancelled)
 
-(* --- journal digest lookup ------------------------------------------- *)
+(* --- journal ledger lookup ------------------------------------------- *)
 
 let ledger_image ?(tier = "service") ~spec ~params () =
   {
@@ -157,7 +175,7 @@ let ledger_image ?(tier = "service") ~spec ~params () =
     ri_budget = None;
   }
 
-let test_verdict_of_digest () =
+let test_ledger_lookup () =
   let dir = fresh_dir "vod" in
   let digest = "case=X;qos=gold" in
   let j = Journal.openj ~resume:false dir in
@@ -165,21 +183,22 @@ let test_verdict_of_digest () =
   Journal.append j
     (Journal.Spec_done (ledger_image ~spec:"job/X" ~params:digest ()));
   Journal.flush j;
-  (match Journal.verdict_of_digest j ~digest with
+  (match Journal.find_spec_done j ~spec:"job/X" ~params:digest with
   | Some ri -> check "tier preserved" true (ri.Journal.ri_tier = "service")
   | None -> failf "journaled digest not found");
   check "other digests miss" true
-    (Journal.verdict_of_digest j ~digest:"case=X;qos=bronze" = None);
+    (Journal.find_spec_done j ~spec:"job/X" ~params:"case=X;qos=bronze"
+    = None);
   Journal.close j;
   (* reopen and look up again: the memo must survive a restart *)
   let j = Journal.openj ~resume:true dir in
   check "memo survives a restart" true
-    (Option.is_some (Journal.verdict_of_digest j ~digest));
+    (Option.is_some (Journal.find_spec_done j ~spec:"job/X" ~params:digest));
   Journal.close j
 
 (* A torn tail that eats the verdict record must make the lookup return
    [None] — re-exploration — never the stale (now non-durable) verdict. *)
-let test_verdict_of_digest_torn_tail () =
+let test_ledger_torn_tail () =
   let dir = fresh_dir "torn" in
   let digest = "case=Y;qos=gold" in
   let j = Journal.openj ~resume:false dir in
@@ -196,7 +215,7 @@ let test_verdict_of_digest_torn_tail () =
   Unix.close fd;
   let j = Journal.openj ~resume:true dir in
   check "torn verdict is forgotten, not served" true
-    (Journal.verdict_of_digest j ~digest = None);
+    (Journal.find_spec_done j ~spec:"job/Y" ~params:digest = None);
   Journal.close j
 
 (* --- jobs-status JSON (the shared renderer) -------------------------- *)
@@ -345,10 +364,10 @@ let test_concurrent_same_digest () =
           records
       in
       check "one job ledger verdict" true
-        (List.length (List.filter (String.equal "job/CAS-lock") spec_dones)
+        (List.length (List.filter (String.equal (ledger "CAS-lock")) spec_dones)
         = 1);
       let explored =
-        List.filter (fun s -> s <> "job/CAS-lock") spec_dones
+        List.filter (fun s -> s <> ledger "CAS-lock") spec_dones
       in
       check "exactly one exploration ran" true
         (explored <> []
@@ -429,7 +448,7 @@ let test_disconnect_cancels () =
         match
           List.filter_map
             (function
-              | Journal.Spec_done ri when ri.Journal.ri_spec = "job/CAS-lock"
+              | Journal.Spec_done ri when ri.Journal.ri_spec = ledger "CAS-lock"
                 ->
                 Some ri.Journal.ri_tier
               | _ -> None)
@@ -457,7 +476,9 @@ let test_disconnect_cancels () =
       Client.close c2)
 
 (* A daemon restarted with [--resume] re-runs the ledger's in-flight
-   jobs without any client asking. *)
+   jobs without any client asking.  The hand-written begin uses the
+   per-case ledger spec of older journals, so this also resumes a
+   journal written before ledger specs were per digest. *)
 let test_resume_requeues_in_flight () =
   let dir = fresh_dir "resume" in
   let j = Journal.openj ~resume:true dir in
@@ -467,26 +488,12 @@ let test_resume_requeues_in_flight () =
   Journal.flush j;
   Journal.close j;
   with_server ~resume:true ~dir ~tag:"resume" (fun ~socket ~dir ->
-      let deadline = Unix.gettimeofday () +. 60. in
-      let rec wait () =
-        let records, _ = Journal.read dir in
-        let finished =
-          List.exists
-            (function
-              | Journal.Spec_done ri ->
-                ri.Journal.ri_spec = "job/CAS-lock"
-                && ri.Journal.ri_tier = "service"
-              | _ -> false)
-            records
-        in
-        finished
-        || Unix.gettimeofday () < deadline
-           && begin
-                Thread.delay 0.05;
-                wait ()
-              end
-      in
-      check "the in-flight ledger job re-ran to a verdict" true (wait ());
+      check "the in-flight ledger job re-ran to a verdict" true
+        (await_record dir (function
+          | Journal.Spec_done ri ->
+            ri.Journal.ri_spec = ledger "CAS-lock"
+            && ri.Journal.ri_tier = "service"
+          | _ -> false));
       (* and a client is now served from the memo *)
       let cn = Client.connect ~socket in
       (match Client.submit cn ~case:"CAS-lock" with
@@ -699,16 +706,125 @@ let test_journal_wounded_by_enospc () =
   Journal.append j
     (Journal.Spec_done (ledger_image ~spec:"job/after" ~params:"digest-after" ()));
   check "post-wound append is visible in memory" true
-    (Option.is_some (Journal.verdict_of_digest j ~digest:"digest-after"));
+    (Option.is_some
+       (Journal.find_spec_done j ~spec:"job/after" ~params:"digest-after"));
   Journal.flush j;
   Journal.close j;
   (* a real-io reopen recovers a clean prefix and forgets the rest *)
   let j2 = Journal.openj ~resume:true dir in
   check "the post-wound record was never persisted" true
-    (Journal.verdict_of_digest j2 ~digest:"digest-after" = None);
+    (Journal.find_spec_done j2 ~spec:"job/after" ~params:"digest-after" = None);
   check "a persisted prefix survived" true
-    (Option.is_some (Journal.verdict_of_digest j2 ~digest:"digest-w0"));
+    (Option.is_some
+       (Journal.find_spec_done j2 ~spec:"job/w0" ~params:"digest-w0"));
   Journal.close j2
+
+(* --- the verdict table --------------------------------------------- *)
+
+(* A memo hit is answered by its reader thread from the verdict table,
+   not queued behind the executor: while a bronze filler holds the
+   executor in its pre-exploration delay, a repeat gold submission comes
+   back memoized and the filler is still the one job in flight. *)
+let test_memo_hit_beside_busy_executor () =
+  with_server ~tag:"busy" ~job_delay_s:1.0 (fun ~socket ~dir:_ ->
+      let cn = Client.connect ~socket in
+      (match Client.submit cn ~case:"CAS-lock" with
+      | Ok v -> check "first answer is cold" false v.Client.v_memo
+      | Error e -> failf "cold submit: %a" Client.pp_submit_error e);
+      let filler = Client.connect ~socket in
+      Client.send filler
+        (Protocol.Submit { case = "Seq. stack"; qos = Protocol.Bronze });
+      (match Client.read_frame ~timeout_s:10. filler with
+      | Ok _ack -> ()
+      | Error e -> failf "filler ack: %s" e);
+      let inflight () =
+        match Client.health cn with
+        | Ok frame -> Option.bind (Json.member "inflight" frame) Json.to_int
+        | Error e -> failf "health: %a" Client.pp_submit_error e
+      in
+      (* the executor picks the filler up just after its ack *)
+      let deadline = Unix.gettimeofday () +. 0.5 in
+      while inflight () <> Some 1 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.005
+      done;
+      check "the filler holds the executor" true (inflight () = Some 1);
+      (match Client.submit cn ~case:"CAS-lock" with
+      | Ok v ->
+        check "repeat is a memo hit" true v.Client.v_memo;
+        check "memo hit adds no units" true (v.Client.v_fresh_units = 0)
+      | Error e -> failf "memo submit: %a" Client.pp_submit_error e);
+      check "the filler still holds the executor" true (inflight () = Some 1);
+      Client.close filler;
+      Client.close cn)
+
+(* A journal whose ledger spec is per case ("job/CAS-lock" for every
+   tier) holding a finished gold job and a begun bronze one: the resumed
+   daemon must re-run the bronze job, although a later record of the
+   same spec is a finished verdict. *)
+let test_resume_keys_ledger_by_digest () =
+  let dir = fresh_dir "resume-digest" in
+  let gold = Protocol.digest ~case:"CAS-lock" ~qos:Protocol.Gold in
+  let bronze = Protocol.digest ~case:"CAS-lock" ~qos:Protocol.Bronze in
+  let j = Journal.openj ~resume:true dir in
+  List.iter (Journal.append j)
+    [
+      Journal.Spec_begin { spec = "job/CAS-lock"; params = gold };
+      Journal.Spec_done (ledger_image ~spec:"job/CAS-lock" ~params:gold ());
+      Journal.Spec_begin { spec = "job/CAS-lock"; params = bronze };
+    ];
+  Journal.close j;
+  with_server ~resume:true ~dir ~tag:"resume-digest" (fun ~socket:_ ~dir ->
+      check "the begun bronze job re-ran to a service verdict" true
+        (await_record dir (function
+          | Journal.Spec_done ri ->
+            ri.Journal.ri_params = bronze && ri.Journal.ri_tier = "service"
+          | _ -> false)))
+
+(* A daemon resumed on a journal that holds a finished digest answers
+   it from the verdict table: acked as cached, a memo verdict with no
+   fresh units, and not one record appended to the journal. *)
+let test_resume_serves_table () =
+  let dir = fresh_dir "resume-table" in
+  with_server ~dir ~tag:"resume-table-a" (fun ~socket ~dir:_ ->
+      let cn = Client.connect ~socket in
+      (match Client.submit cn ~case:"CAS-lock" with
+      | Ok v -> check "daemon A answers cold" false v.Client.v_memo
+      | Error e -> failf "daemon A submit: %a" Client.pp_submit_error e);
+      Client.close cn);
+  with_server ~resume:true ~dir ~tag:"resume-table-b" (fun ~socket ~dir ->
+      let on_disk () =
+        let records, _ = Journal.read dir in
+        ( List.length
+            (List.filter
+               (function
+                 | Journal.Spec_done ri ->
+                   String.starts_with ~prefix:"job/" ri.Journal.ri_spec
+                 | _ -> false)
+               records),
+          List.fold_left
+            (fun n jb -> n + jb.Journal.j_units)
+            0
+            (Journal.jobs_of_records records) )
+      in
+      let before = on_disk () in
+      let cn = Client.connect ~socket in
+      Client.send cn (Protocol.Submit { case = "CAS-lock"; qos = Protocol.Gold });
+      let frame () =
+        match Client.read_frame ~timeout_s:10. cn with
+        | Ok f -> f
+        | Error e -> failf "frame: %s" e
+      in
+      let ack = frame () in
+      check "acked as cached" true
+        (Option.bind (Json.member "cached" ack) Json.to_bool = Some true);
+      let verdict = frame () in
+      check "verdict is a memo" true
+        (Option.bind (Json.member "memo" verdict) Json.to_bool = Some true);
+      check "verdict adds no units" true
+        (Option.bind (Json.member "fresh_units" verdict) Json.to_int = Some 0);
+      Client.close cn;
+      check "the journal gained no ledger verdict and no unit" true
+        (on_disk () = before))
 
 let suite =
   [
@@ -722,10 +838,10 @@ let suite =
     Alcotest.test_case "protocol: digest and QoS ladder" `Quick test_digest;
     Alcotest.test_case "budget: cancel probe trips sticky" `Quick
       test_budget_cancel_probe;
-    Alcotest.test_case "journal: verdict_of_digest lookup" `Quick
-      test_verdict_of_digest;
+    Alcotest.test_case "journal: ledger verdict lookup" `Quick
+      test_ledger_lookup;
     Alcotest.test_case "journal: torn tail forgets the verdict" `Quick
-      test_verdict_of_digest_torn_tail;
+      test_ledger_torn_tail;
     Alcotest.test_case "jobs: one JSON renderer, versioned schema" `Quick
       test_jobs_json_schema;
     Alcotest.test_case "serve: cold then memoized verdict" `Quick
@@ -752,4 +868,10 @@ let suite =
       `Quick test_submit_retry_first_attempt;
     Alcotest.test_case "journal: wounded by ENOSPC, degrades honestly" `Quick
       test_journal_wounded_by_enospc;
+    Alcotest.test_case "serve: memo hit beside a busy executor" `Quick
+      test_memo_hit_beside_busy_executor;
+    Alcotest.test_case "serve: resume keys the ledger by digest" `Quick
+      test_resume_keys_ledger_by_digest;
+    Alcotest.test_case "serve: resumed daemon serves the table" `Quick
+      test_resume_serves_table;
   ]
