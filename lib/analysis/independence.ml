@@ -1,15 +1,13 @@
 (* Static independence analysis: derive, per Table 1 case study, which
-   pairs of schedulable moves commute — the relation Sched's sleep-set
-   partial-order reduction consumes (lib/core/por.ml carries it into the
-   scheduler; docs/ANALYSIS.md §POR documents the trust model).
+   pairs of schedulable moves commute, as a report ([fcsl analyze
+   --independence]; docs/ANALYSIS.md §Independence documents the trust
+   model).  No engine consumes the relation: the memoized explorer
+   already expands each distinct configuration once.
 
    Three rules, in the order they are tried:
 
    1. indep-fp — disjoint (or jointly read-only) declared footprints:
-      [Footprint.commutes].  Purely syntactic, and dynamically guarded:
-      with POR on, the scheduler cross-checks every executed move's
-      mutations against its declared envelope and demotes the whole
-      exploration to full expansion on a violation.
+      [Footprint.commutes].  Purely syntactic.
 
    2. indep-pcm — algebraic commutation for same-label pairs the
       footprint rule cannot see: both actions contribute into the same
@@ -22,12 +20,8 @@
       coherent states finds at least [min_witnesses] states where both
       actions run and never finds a state where the two orders disagree
       (in final state, in either result, or in enabledness).  The
-      deterministic enumeration lives here; test/test_por.ml adds the
-      QCheck property over random coherent states, and the registry-wide
-      POR-vs-full differential is the end-to-end backstop — rule-2
-      claims are not runtime-monitored (the scheduler's POR confinement
-      check sees footprints, not values), so they lean on this battery,
-      exactly the trust model of the analyzer's read-footprint claims.
+      deterministic enumeration lives here; test/test_analysis.ml adds
+      the QCheck property over random coherent states.
 
    3. indep-env — environment transitions at distinct labels.  An env
       step at label [l] rewrites the slice at [l] and nothing else
@@ -228,9 +222,8 @@ let decide a b : verdict =
 
    The moves each case's programs schedule: the action instances its
    drivers build (with the same labels and parameters), plus one env
-   move per (concurroid, transition).  Kept in one place so the matrix,
-   the POR certificates and the differential tests all see the same
-   inventory. *)
+   move per (concurroid, transition).  Kept in one place so the matrix
+   and the certificate tests see the same inventory. *)
 
 type inventory = {
   i_world : World.t;
@@ -454,83 +447,6 @@ let analyze_case (name : string) : matrix option =
 let analyze_all () : matrix list =
   List.filter_map (fun c -> analyze_case c.Fcsl_report.Registry.c_name)
     Fcsl_report.Registry.all
-
-(* Certificate tables are stored symmetrically closed — both (a, b) and
-   (b, a) are inserted at build time — so a query is a single probe.
-   The analyzer emits each certified pair once, in enumeration order;
-   independence is symmetric, so closing at build time changes no
-   verdict and halves the lookups the POR oracle's bitmap
-   precomputation performs. *)
-let cert_table pairs =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (a, b) ->
-      Hashtbl.replace tbl (a, b) ();
-      Hashtbl.replace tbl (b, a) ())
-    pairs;
-  tbl
-
-(* The POR oracle's [extra] hook for one case: the rule-2 certified name
-   pairs (rule 1 and 3 are recomputed from footprints inside the
-   scheduler, so only the algebraic certificates need carrying). *)
-let certs (name : string) : string -> string -> bool =
-  match analyze_case name with
-  | None -> fun _ _ -> false
-  | Some m ->
-    let tbl = cert_table m.x_certs in
-    fun a b -> Hashtbl.mem tbl (a, b)
-
-(* The registry-wide certificate table the CLI installs as the engine
-   default (one immutable closure shared by all verification workers, so
-   parallel [fcsl verify -j N --por] needs no per-case engine rescoping).
-   Intersection semantics: a name pair counts as certified only when it
-   is rule-2 certified in EVERY case whose move inventory mentions both
-   names — several cases share action names (the lock configs are
-   reused across rows at different labels), and certification in one
-   world must not license a reduction in another where the same names
-   denote different-label instances.  Pairs outside every inventory are
-   never certified (conservative).  Lazy: nothing is analyzed until the
-   first query, i.e. never unless POR is actually on. *)
-let certs_all : unit -> string -> string -> bool =
- fun () ->
-  let build () =
-    List.map
-      (fun m ->
-        let names = Hashtbl.create 16 in
-        List.iter (fun mv -> Hashtbl.replace names mv.m_name ()) m.x_moves;
-        (names, cert_table m.x_certs))
-      (analyze_all ())
-  in
-  (* Laziness keeps [--por]-less runs free, but the closure is shared
-     across verification domains, and concurrently forcing an
-     unevaluated [lazy] raises [CamlinternalLazy.Undefined] on OCaml 5
-     — so the first computation is serialized through a mutex and
-     published via an atomic, after which reads are lock-free. *)
-  let cache = Atomic.make None in
-  let building = Mutex.create () in
-  let tables () =
-    match Atomic.get cache with
-    | Some t -> t
-    | None ->
-      Mutex.lock building;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock building)
-        (fun () ->
-          match Atomic.get cache with
-          | Some t -> t
-          | None ->
-            let t = build () in
-            Atomic.set cache (Some t);
-            t)
-  in
-  fun a b ->
-    let relevant =
-      List.filter
-        (fun (names, _) -> Hashtbl.mem names a && Hashtbl.mem names b)
-        (tables ())
-    in
-    relevant <> []
-    && List.for_all (fun (_, certed) -> Hashtbl.mem certed (a, b)) relevant
 
 (* --- Rendering ------------------------------------------------------- *)
 

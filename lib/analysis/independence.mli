@@ -1,13 +1,11 @@
-(** Static independence analysis (docs/ANALYSIS.md, §POR): derive, per
-    Table 1 case study, which pairs of schedulable moves commute.  The
-    relation feeds {!Fcsl_core.Por} / [Sched.explore ?por]'s sleep-set
-    partial-order reduction, and is printed (or rendered as JSON) by
-    [fcsl analyze --independence].
+(** Static independence analysis (docs/ANALYSIS.md, §Independence):
+    derive, per Table 1 case study, which pairs of schedulable moves
+    commute.  The relation is a report, printed (or rendered as JSON) by
+    [fcsl analyze --independence]; no engine consumes it.
 
     Three justification rules, each with a stable id:
     - {!rule_fp} ["indep-fp"]: declared footprints commute
-      ({!Fcsl_core.Footprint.commutes}) — dynamically guarded by the
-      scheduler's confinement check when POR is on;
+      ({!Fcsl_core.Footprint.commutes});
     - {!rule_pcm} ["indep-pcm"]: same-label pairs whose contributions
       commute by the laws of the PCMs involved, certified by the law
       table plus an exhaustive step-commutation check over the case's
@@ -52,7 +50,7 @@ type sample =
 
 val commute_sample : any_action -> any_action -> State.t -> sample
 (** Run the pair in both orders from one state and compare.  Exposed so
-    test_por.ml can QCheck the certified pairs on random coherent
+    test_analysis.ml can QCheck the certified pairs on random coherent
     states. *)
 
 val min_witnesses : int
@@ -83,19 +81,3 @@ val pp_matrix : Format.formatter -> matrix -> unit
 val matrix_to_json : matrix -> string
 (** Stable shape for CI: {["{\"case\": .., \"moves\": [..], \"pairs\":
     [{\"a\", \"b\", \"independent\", \"rule\", \"why\"}]}"]}. *)
-
-(** {1 POR certificate hooks} *)
-
-val certs : string -> string -> string -> bool
-(** [certs case] is the [Por.make ~extra] hook for one case: exactly its
-    rule-2 certified name pairs (rules 1 and 3 are recomputed from
-    footprints inside the scheduler). *)
-
-val certs_all : unit -> string -> string -> bool
-(** The registry-wide table the CLI installs in the engine
-    ([Fcsl_core.Verify.with_engine ~por_certs]) — one immutable closure
-    shared by all verification workers.  Intersection semantics: a name
-    pair counts only when certified in {e every} case whose inventory
-    mentions both names, so certification in one world never licenses a
-    reduction in another.  Lazy: nothing is analyzed until the first
-    query. *)

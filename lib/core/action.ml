@@ -80,8 +80,7 @@ type 'a t = {
   fp : Footprint.t;
       (* Declared effect envelope: which labels the action may touch, and
          how.  Defaults to [Top] (unknown); declared envelopes feed the
-         static analyzer, the lints and partial-order reduction, and are
-         checked dynamically by {!Sched} when POR is on. *)
+         static analyzer, the lints and the independence report. *)
 }
 
 let make ?(communicating = false) ?enabled ?(fp = Footprint.top) ~name ~safe

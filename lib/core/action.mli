@@ -40,8 +40,7 @@ val make :
     reduction of retry-until-success loops for partial correctness.
     [fp] is the action's declared effect envelope (default
     [Footprint.top], i.e. unknown); it feeds the static analyzer, the
-    lints and partial-order reduction, and under POR the scheduler
-    checks every executed move's mutations against it. *)
+    lints and the independence report. *)
 
 val name : 'a t -> string
 val safe : 'a t -> State.t -> bool

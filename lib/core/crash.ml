@@ -11,7 +11,6 @@ type kind =
   | Budget_exhausted
   | Injected_fault
   | Internal_error
-  | Analyzer_lie
   | Deadlock
   | Protocol_error
   | Io_fault
@@ -23,7 +22,6 @@ let kind_name = function
   | Budget_exhausted -> "budget-exhausted"
   | Injected_fault -> "injected-fault"
   | Internal_error -> "internal-error"
-  | Analyzer_lie -> "analyzer-lie"
   | Deadlock -> "deadlock"
   | Protocol_error -> "protocol-error"
   | Io_fault -> "io-fault"
@@ -92,7 +90,6 @@ let kind_of_name = function
   | "budget-exhausted" -> Some Budget_exhausted
   | "injected-fault" -> Some Injected_fault
   | "internal-error" -> Some Internal_error
-  | "analyzer-lie" -> Some Analyzer_lie
   | "deadlock" -> Some Deadlock
   | "protocol-error" -> Some Protocol_error
   | "io-fault" -> Some Io_fault

@@ -16,10 +16,6 @@ type kind =
   | Budget_exhausted  (** a resource budget tripped (see {!Budget}) *)
   | Injected_fault  (** a fault injected by the chaos harness *)
   | Internal_error  (** an engine invariant broke (worker death, ...) *)
-  | Analyzer_lie
-      (** a statically claimed independence was refuted at runtime: a
-          move mutated a label its declared footprint excludes, so the
-          partial-order reducer demoted the run to full expansion *)
   | Deadlock
       (** a reachable configuration where every program move is
           disabled and no environment path can re-enable one: all

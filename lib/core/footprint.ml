@@ -8,7 +8,7 @@
    the element every opaque OCaml closure in the DSL maps to.  Anything
    statically visible (action leaves, par/hide spines, declared
    annotations) stays below [Top].  The static analyzer, the lints and
-   partial-order reduction read envelopes; exploration itself always
+   the independence report read envelopes; exploration itself always
    interferes at every world label (see DESIGN.md, Section 10). *)
 
 type access = Read | Write | Cas
@@ -99,8 +99,8 @@ let remove fp l =
   match fp with Top -> Top | Fp m -> Fp (Label.Map.remove l m)
 
 (* [commutes a b]: the two envelopes cannot interfere — at every label
-   both touch, both are read-only.  The syntactic independence check of
-   partial-order reduction: two steps whose envelopes commute reach the
+   both touch, both are read-only.  The independence analysis's
+   syntactic rule: two steps whose envelopes commute reach the
    same configuration in either order (reads see identical state;
    writes/CASes land on labels the other never reads).  [Top] commutes
    only with the empty envelope. *)

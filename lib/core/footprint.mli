@@ -2,8 +2,7 @@
     spec, or action may read, write, or CAS.  A join-semilattice with
     [top] ("may touch anything") — the element every opaque OCaml
     closure in the DSL maps to.  The static analyzer, the lints and
-    partial-order reduction read envelopes; under POR the scheduler
-    checks every executed action against its own (see DESIGN.md,
+    the independence report read envelopes (see DESIGN.md,
     Section 10). *)
 
 type access = Read | Write | Cas
@@ -61,7 +60,7 @@ val subsumes : t -> t -> bool
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Consistent with {!equal}; used by {!Por}'s move-class interner. *)
+(** Consistent with {!equal}. *)
 
 val accesses : t -> Label.t -> access list
 (** The access kinds the envelope grants at a label (all three under

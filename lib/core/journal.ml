@@ -71,7 +71,7 @@ type report_image = {
   ri_outcomes : int;
   ri_diverged : int;
   ri_complete : bool;
-  ri_states : int; (* configurations explored under the active reductions *)
+  ri_states : int; (* configurations explored *)
   ri_failures : (int * Crash.t) list;
   ri_worker_crashes : (int * Crash.t) list;
   ri_budget : budget_image option;

@@ -117,17 +117,13 @@ let view genv ~around ~mine : State.t option =
     genv.joints (Some State.empty)
 
 (* Decompose an action's output state back into joints and self
-   contributions.  Also returns the labels written through — the exact
-   set of bindings that can differ between input and output, which the
-   POR analyzer-lie check uses as its confinement pre-filter.  A view
-   label whose joint, jaux and self all come back physically unchanged
-   is not touched at all: the maps keep sharing the old bindings, the
-   hash contributions cancel, and the label stays off the touched list
-   (an action's view often spans labels it only reads — reporting those
-   would send every such move through the precise mutation diff). *)
+   contributions.  A view label whose joint, jaux and self all come back
+   physically unchanged is not rewritten at all: the maps keep sharing
+   the old bindings and the hash contributions cancel (an action's view
+   often spans labels it only reads). *)
 let unview st ~(genv : genv) ~(mine : Contrib.t) =
-  let rec go j c m gh touched = function
-    | [] -> ({ genv with joints = j; jauxs = c; ghash = gh }, m, touched)
+  let rec go j c m gh = function
+    | [] -> ({ genv with joints = j; jauxs = c; ghash = gh }, m)
     | l :: tl ->
       let joint' = State.joint l st in
       let jaux' = State.jaux l st in
@@ -138,7 +134,7 @@ let unview st ~(genv : genv) ~(mine : Contrib.t) =
         match joint0 with Some h -> h == joint' | None -> false
       in
       if joint_same && jaux0 == jaux' && Contrib.get l m == self' then
-        go j c m gh touched tl
+        go j c m gh tl
       else
         let gh =
           gh
@@ -148,9 +144,9 @@ let unview st ~(genv : genv) ~(mine : Contrib.t) =
           lxor mix_jaux l jaux'
         in
         go (Label.Map.add l joint' j) (Contrib.set l jaux' c)
-          (Contrib.set l self' m) gh (l :: touched) tl
+          (Contrib.set l self' m) gh tl
   in
-  go genv.joints genv.jauxs mine genv.ghash [] (State.labels st)
+  go genv.joints genv.jauxs mine genv.ghash (State.labels st)
 
 let as_ret : type a. a rt -> a option = function
   | RRet v -> Some v
@@ -306,47 +302,27 @@ and uninstall : type a. genv -> Contrib.t -> Prog.hide_spec -> a -> a norm =
 
 (* One scheduling move: an atomic action at some leaf.  Returns all
    enabled moves as continuations, or a crash witness if some enabled
-   leaf is unsafe (a verification failure).
-
-   [mv_path] locates the leaf on the Par spine for partial-order
-   reduction (root 1, left child [2p], right child [2p+1] — the binary
-   heap numbering, bijective with the old "L"/"R" path strings); the
-   {!Por} oracle interns [(path, name, footprint)] into a dense move
-   id.  The identity is stable along a DFS descent — a leaf's pending
-   action can only change by executing, and a slept move is never
-   executed, so a sleep-set entry always denotes the same pending
-   transition wherever it still matches.  [mv_fp] is the action's
-   declared effect envelope.  Both are only consumed under POR. *)
+   leaf is unsafe (a verification failure). *)
 type 'a move = {
   mv_name : string;
-  mv_path : int;
-  mv_fp : Footprint.t;
-  mv_touched : Label.t list;
-      (* the labels the action wrote through [unview] — every binding
-         that can differ across this move; [] for error moves *)
   mv_next : (genv * Contrib.t * 'a rt, Crash.t) result;
 }
 
 let move_name mv = mv.mv_name
 let move_next mv = mv.mv_next
 
-let rec moves_at : type a.
-    path:int -> genv -> Contrib.t -> Contrib.t -> a rt -> a move list =
- fun ~path genv around mine rt ->
+let rec moves : type a. genv -> Contrib.t -> Contrib.t -> a rt -> a move list =
+ fun genv around mine rt ->
   match rt with
   | RRet _ -> []
   | RParP _ -> [] (* eliminated by normalize *)
   | RHideP _ -> [] (* eliminated by normalize *)
   | RAct a -> (
-    let mv_fp = Action.footprint a in
     match view genv ~around ~mine with
     | None ->
       [
         {
           mv_name = Action.name a;
-          mv_path = path;
-          mv_fp;
-          mv_touched = [];
           mv_next = Error (Crash.make Crash.Ghost_algebra "invalid subjective view");
         };
       ]
@@ -355,9 +331,6 @@ let rec moves_at : type a.
         [
           {
             mv_name = Action.name a;
-            mv_path = path;
-            mv_fp;
-            mv_touched = [];
             mv_next =
               Error
                 (Crash.make Crash.Unsafe_action
@@ -367,16 +340,8 @@ let rec moves_at : type a.
       else if not (Action.enabled a st) then [] (* blocked, not crashed *)
       else
         let r, st' = Action.step_exn a st in
-        let genv', mine', touched = unview st' ~genv ~mine in
-        [
-          {
-            mv_name = Action.name a;
-            mv_path = path;
-            mv_fp;
-            mv_touched = touched;
-            mv_next = Ok (genv', mine', RRet r);
-          };
-        ])
+        let genv', mine' = unview st' ~genv ~mine in
+        [ { mv_name = Action.name a; mv_next = Ok (genv', mine', RRet r) } ])
   | RBind (p, k) ->
     List.map
       (fun mv ->
@@ -385,7 +350,7 @@ let rec moves_at : type a.
           mv_next =
             Result.map (fun (g, m, p') -> (g, m, RBind (p', k))) mv.mv_next;
         })
-      (moves_at ~path genv around mine p)
+      (moves genv around mine p)
   | RHideI (spec, body) ->
     List.map
       (fun mv ->
@@ -394,25 +359,22 @@ let rec moves_at : type a.
           mv_next =
             Result.map (fun (g, m, b') -> (g, m, RHideI (spec, b'))) mv.mv_next;
         })
-      (moves_at ~path genv around mine body)
+      (moves genv around mine body)
   | RPar (l, cl, r, cr) ->
     let around_of sibling_contrib sibling_tree =
       Option.bind (inner_contribs sibling_tree) (fun inner ->
           Contrib.join_all [ around; mine; sibling_contrib; inner ])
     in
+    let incompatible () =
+      {
+        mv_name = "par";
+        mv_next =
+          Error (Crash.make Crash.Ghost_algebra "incompatible contributions");
+      }
+    in
     let left =
       match around_of cr r with
-      | None ->
-        [
-          {
-            mv_name = "par";
-            mv_path = path;
-            mv_fp = Footprint.top;
-            mv_touched = [];
-            mv_next =
-              Error (Crash.make Crash.Ghost_algebra "incompatible contributions");
-          };
-        ]
+      | None -> [ incompatible () ]
       | Some around_l ->
         List.map
           (fun mv ->
@@ -423,21 +385,11 @@ let rec moves_at : type a.
                   (fun (g, m_l, l') -> (g, mine, RPar (l', m_l, r, cr)))
                   mv.mv_next;
             })
-          (moves_at ~path:(2 * path) genv around_l cl l)
+          (moves genv around_l cl l)
     in
     let right =
       match around_of cl l with
-      | None ->
-        [
-          {
-            mv_name = "par";
-            mv_path = path;
-            mv_fp = Footprint.top;
-            mv_touched = [];
-            mv_next =
-              Error (Crash.make Crash.Ghost_algebra "incompatible contributions");
-          };
-        ]
+      | None -> [ incompatible () ]
       | Some around_r ->
         List.map
           (fun mv ->
@@ -448,11 +400,9 @@ let rec moves_at : type a.
                   (fun (g, m, r') -> (g, mine, RPar (l, cl, r', m)))
                   mv.mv_next;
             })
-          (moves_at ~path:((2 * path) + 1) genv around_r cr r)
+          (moves genv around_r cr r)
     in
     left @ right
-
-let moves genv around mine rt = moves_at ~path:1 genv around mine rt
 
 (* Environment interference: at any label open to interference, the
    environment may take any transition of that label's concurroid from
@@ -463,23 +413,7 @@ let moves genv around mine rt = moves_at ~path:1 genv around mine rt
    Move names are lazy: exhaustive exploration only renders a schedule
    when it reports a crash, so the (hot) happy paths never pay for the
    formatting. *)
-(* Like program moves, each env move carries a POR identity: the label,
-   transition name and branch index within the concurroid's
-   (deterministic) step list — stable under independent moves, which
-   leave the whole slice at [l] untouched and hence re-enumerate the
-   identical list.  The {!Por} oracle interns the triple; the class
-   envelope is [touches l] *by construction*: an env step rewrites the
-   joint heap, joint auxiliary and external contribution at its own
-   label and nothing else (see the update below), so rule 3 of the
-   independence analyzer — transitions at distinct labels commute — is
-   the footprint check itself. *)
-type env_move = {
-  ev_name : string Lazy.t;
-  ev_label : Label.t;
-  ev_trans : string;
-  ev_index : int;
-  ev_genv : genv;
-}
+type env_move = { ev_name : string Lazy.t; ev_genv : genv }
 
 let env_moves_aux : type a. genv -> Contrib.t -> a rt -> env_move list =
  fun genv mine rt ->
@@ -500,13 +434,10 @@ let env_moves_aux : type a. genv -> Contrib.t -> a rt -> env_move list =
               Slice.make_jaux ~jaux:jaux0 ~self:ext0 ~joint
                 ~other:(Contrib.get l ours)
             in
-            List.mapi
-              (fun i (n, s') ->
+            List.map
+              (fun (n, s') ->
                 {
                   ev_name = lazy (Fmt.str "env:%s.%s" (Concurroid.name c) n);
-                  ev_label = l;
-                  ev_trans = n;
-                  ev_index = i;
                   ev_genv =
                     {
                       genv with
@@ -988,17 +919,11 @@ type config_key = {
   ck_ext : Contrib.t;
   ck_world : int list; (* concurroid identities, in world order *)
   ck_mine : Contrib.t;
-  ck_sleep : Por.Sleepset.t; (* POR sleep set; empty without POR *)
   ck_hash : int; (* precomputed: keys are hashed more than once *)
 }
 
-(* The key of a configuration whose tree is keyed [ck_rt].  Under POR,
-   the outcomes a configuration records depend on its sleep set (slept
-   subtrees are omitted), so memo entries are only replayable at the
-   same sleep context: the set joins the key.  Bitsets are canonical by
-   construction, so any two arrival orders of the same slept moves
-   produce equal keys with equal hashes. *)
-let key_of (kr : keyer) ck_rt (genv : genv) (mine : Contrib.t) sleep =
+(* The key of a configuration whose tree is keyed [ck_rt]. *)
+let key_of (kr : keyer) ck_rt (genv : genv) (mine : Contrib.t) =
   let ck_world = Keyer.world_ids kr genv.world in
   (* The shared-state hash is the genv's incrementally maintained
      fingerprint — no map re-folding here; only the (small) root
@@ -1016,17 +941,10 @@ let key_of (kr : keyer) ck_rt (genv : genv) (mine : Contrib.t) sleep =
     ck_ext = genv.ext_other;
     ck_world;
     ck_mine = mine;
-    ck_sleep = sleep;
-    ck_hash =
-      (if Por.Sleepset.is_empty sleep then ck_hash
-       else (ck_hash * 33) lxor Por.Sleepset.hash sleep);
+    ck_hash;
   }
 
-let config_key ?prev kr genv mine rt =
-  key_of kr (rt_key ?prev kr rt) genv mine Por.Sleepset.empty
-
-let config_key_sleep kr genv mine rt sleep =
-  key_of kr (rt_key kr rt) genv mine sleep
+let config_key ?prev kr genv mine rt = key_of kr (rt_key ?prev kr rt) genv mine
 
 let config_key_rt k = k.ck_rt
 let config_key_hash k = k.ck_hash
@@ -1042,7 +960,6 @@ let config_key_equal k1 k2 =
   && (k1.ck_world == k2.ck_world
      || List.equal Int.equal k1.ck_world k2.ck_world)
   && Contrib.equal k1.ck_mine k2.ck_mine
-  && Por.Sleepset.equal k1.ck_sleep k2.ck_sleep
 
 let fingerprint kr genv mine rt = config_key_hash (config_key kr genv mine rt)
 
@@ -1110,14 +1027,13 @@ type 'a memo_entry = {
 let memo_store_cap = 4096
 
 (* Exploration statistics: configurations actually entered (same cadence
-   as the budget tick), memo behaviour, sleep-set skips and allocation,
-   exposed so callers can report the effect of the active reductions
-   (dedup, POR) and measure — not guess — the hot path. *)
+   as the budget tick), memo behaviour and allocation, exposed so callers
+   can report the effect of dedup and measure — not guess — the hot
+   path. *)
 type explore_stats = {
   mutable es_configs : int; (* configurations entered *)
   mutable es_memo_hits : int; (* memoized subtrees replayed *)
   mutable es_memo_misses : int; (* configurations explored afresh *)
-  mutable es_sleep_skips : int; (* subtrees the sleep set pruned *)
   mutable es_max_bucket : int; (* most distinct keys in one memo bucket *)
   mutable es_minor_words : float; (* Gc.minor_words allocated exploring *)
 }
@@ -1127,15 +1043,9 @@ let new_stats () =
     es_configs = 0;
     es_memo_hits = 0;
     es_memo_misses = 0;
-    es_sleep_skips = 0;
     es_max_bucket = 0;
     es_minor_words = 0.;
   }
-
-(* Raised (internally) when a move mutates a label outside its declared
-   footprint while POR is active: every independence claim involving the
-   move is void, so the exploration restarts without reduction. *)
-exception Analyzer_lie_exn of Crash.t
 
 (* Depth-first exploration of all interleavings (and, when [interference]
    holds, all environment-step insertions), up to [fuel] steps per path
@@ -1147,22 +1057,10 @@ exception Analyzer_lie_exn of Crash.t
    pruned by replaying its recorded outcomes.  Interleavings of
    commuting steps — the diamonds behind the exponential blow-up — reach
    identical configurations at identical depth, so this collapses them
-   while reporting exactly what the naive search reports.
-
-   With [por], sleep-set partial-order reduction prunes *transitions*:
-   after exploring a move, later sibling subtrees skip it as long as
-   only independent moves (per the {!Por} oracle) have been taken since.
-   Sleep sets preserve every reachable configuration (only redundant
-   re-entries are cut), so finished states, crashes and divergences all
-   remain reachable; what changes is multiplicity and explored-state
-   counts.  The reduction is gated by a soundness envelope: every
-   executed move's shared-state and self mutations are checked against
-   its declared footprint, and any violation — an analyzer lie — aborts
-   and re-runs the whole exploration with reduction off, recording a
-   located [Crash.Analyzer_lie] diagnostic in the oracle.  A wrong
-   static claim can therefore never flip a verdict. *)
+   while reporting exactly what the naive search reports. *)
 let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
-    ?(env_budget = max_int) ?(dedup = false) ?budget ?journal ?por ?stats (genv0 : genv) (mine0 : Contrib.t) (prog : 'a Prog.t) :
+    ?(env_budget = max_int) ?(dedup = false) ?budget ?journal ?stats
+    (genv0 : genv) (mine0 : Contrib.t) (prog : 'a Prog.t) :
     'a outcome list * bool =
   (* Cooperative budget poll, one per explored configuration.  A trip
      aborts through the existing [Stop] path, so (a) [complete] comes
@@ -1182,362 +1080,189 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
       Budget.tick b;
       if Budget.tripped b <> None then raise Stop
   in
-  (* The POR soundness envelope: a move's joint-heap, joint-auxiliary,
-     external-contribution or self mutations must all land on labels its
-     declared footprint covers (Top declares everything and is never
-     claimed independent, so it checks vacuously).  Reads are part of
-     the same declaration contract but are trusted statically and
-     cross-checked by the differential and QCheck suites rather than at
-     runtime. *)
-  (* Runs once per executed move on the POR arm, so it must not build
-     candidate sets or lists: each component diff is checked by direct
-     iteration over its own keys (a label can only differ at a component
-     it is bound in on some side; re-checking a label is idempotent, so
-     no dedup set is needed), with physical-equality fast paths at both
-     the component and binding level — a confined move leaves untouched
-     labels' heaps and auxes physically shared. *)
-  (* Confinement pre-filter: [unview] rewrites bindings at exactly
-     [touched]; every other label stays physically shared.  All of them
-     inside the declared envelope means no binding outside it can
-     differ — the precise diff would return [None], so skip it.  This
-     is the hot-path case for every honest move; bare loops over the
-     oracle's cached label array because a [List.for_all] closure would
-     allocate once per executed move, and the arrays are small enough
-     that a linear scan beats [Label.Set.mem]. *)
-  let rec mem_lbl (a : Label.t array) n i l =
-    i < n && (Label.equal (Array.unsafe_get a i) l || mem_lbl a n (i + 1) l)
+  let mw0 = match stats with Some _ -> Gc.minor_words () | None -> 0. in
+  let outcomes = ref [] in
+  let count = ref 0 in
+  let record o =
+    (* Counterexamples are journaled at discovery — before the search
+       (or the process) ends — so a kill never loses found failures. *)
+    (match (o, journal) with
+    | Crashed c, Some w -> Journal.writer_crash w c
+    | _ -> ());
+    outcomes := o :: !outcomes;
+    incr count;
+    if !count >= max_outcomes then raise Stop
   in
-  let rec all_allowed (a : Label.t array) n = function
-    | [] -> true
-    | l :: tl -> mem_lbl a n 0 l && all_allowed a n tl
+  let keyer = Keyer.create () in
+  let memo : 'a memo_entry list ref Memo.t =
+    Memo.create (if dedup then 4096 else 1)
   in
-  let find_lie ~allowed ~touched ~(before : genv) ~(after : genv) ~mine ~mine'
-      =
-    match allowed with
-    | None -> None
-    | Some (_, arr) when all_allowed arr (Array.length arr) touched -> None
-    | Some (allowed, _) ->
-      let lie = ref None in
-      let joint_differs l =
-        match
-          (Label.Map.find_opt l before.joints, Label.Map.find_opt l after.joints)
-        with
-        | Some a, Some b -> not (a == b || Heap.equal a b)
-        | None, None -> false
-        | Some _, None | None, Some _ -> true
-      in
-      let check_joint l =
-        if !lie = None && (not (Label.Set.mem l allowed)) && joint_differs l
-        then lie := Some l
-      in
-      if not (before.joints == after.joints) then begin
-        Label.Map.iter (fun l _ -> check_joint l) after.joints;
-        Label.Map.iter
-          (fun l _ -> if not (Label.Map.mem l after.joints) then check_joint l)
-          before.joints
-      end;
-      let check_contrib c c' =
-        if !lie = None && not (c == c') then begin
-          let chk l =
-            if
-              !lie = None
-              && (not (Label.Set.mem l allowed))
-              &&
-              let a = Contrib.get l c and a' = Contrib.get l c' in
-              not (a == a' || Aux.equal a a')
-            then lie := Some l
-          in
-          Contrib.iter (fun l _ -> chk l) c;
-          Contrib.iter (fun l _ -> chk l) c'
-        end
-      in
-      check_contrib before.jauxs after.jauxs;
-      check_contrib before.ext_other after.ext_other;
-      check_contrib mine mine';
-      !lie
+  (* Subtree-need accounting: absolute-depth high-water mark, budget
+     low-water mark, and whether the fuel limit was hit.  Saved and
+     restored around every memoized subtree. *)
+  let deepest = ref 0 in
+  let shallow_budget = ref env_budget in
+  let fuel_cut = ref false in
+  (* The first [n] cells of the (newest-first) outcome list, oldest
+     first: the outcomes a subtree just recorded. *)
+  let take_rev n l =
+    let rec aux n acc l =
+      match l with x :: tl when n > 0 -> aux (n - 1) (x :: acc) tl | _ -> acc
+    in
+    aux n [] l
   in
-  let run por =
-    let outcomes = ref [] in
-    let count = ref 0 in
-    let record o =
-      (* Counterexamples are journaled at discovery — before the search
-         (or the process) ends — so a kill never loses found failures. *)
-      (match (o, journal) with
-      | Crashed c, Some w -> Journal.writer_crash w c
-      | _ -> ());
-      outcomes := o :: !outcomes;
-      incr count;
-      if !count >= max_outcomes then raise Stop
-    in
-    let keyer = Keyer.create () in
-    let memo : 'a memo_entry list ref Memo.t =
-      Memo.create (if dedup then 4096 else 1)
-    in
-    (* Subtree-need accounting: absolute-depth high-water mark, budget
-       low-water mark, and whether the fuel limit was hit.  Saved and
-       restored around every memoized subtree. *)
-    let deepest = ref 0 in
-    let shallow_budget = ref env_budget in
-    let fuel_cut = ref false in
-    (* The first [n] cells of the (newest-first) outcome list, oldest
-       first: the outcomes a subtree just recorded. *)
-    let take_rev n l =
-      let rec aux n acc l =
-        match l with x :: tl when n > 0 -> aux (n - 1) (x :: acc) tl | _ -> acc
-      in
-      aux n [] l
-    in
-    (* [prev] and [pk] are the parent's normalized tree and its key
-       ([no_prev] at the root and without dedup), which keying reuses. *)
-    let rec go :
-        genv -> Contrib.t -> 'a rt -> int -> int -> string Lazy.t list ->
-        Por.Sleepset.t -> 'a rt -> rt_key -> unit =
-     fun genv mine rt depth budget trace sleep prev pk ->
-      if depth > !deepest then deepest := depth;
-      if budget < !shallow_budget then shallow_budget := budget;
-      tick_budget ();
-      (match stats with Some s -> s.es_configs <- s.es_configs + 1 | None -> ());
-      match normalize genv mine rt with
-      | Norm_crash c ->
-        record (Crashed (Crash.with_trace (trace_steps trace) c))
-      | Norm (genv, mine, RRet v) -> (
-        match view genv ~around:Contrib.empty ~mine with
-        | Some st -> record (Finished (v, st))
-        | None ->
-          record
-            (Crashed
-               (Crash.make ~trace:(trace_steps trace) Crash.Ghost_algebra
-                  "final view invalid")))
-      | Norm (genv, mine, rt) ->
-        if depth >= fuel then begin
-          fuel_cut := true;
-          record Diverged
-        end
-        else if not dedup then
-          branch genv mine rt depth budget trace sleep no_prev
-        else begin
-          let kt = key_tree keyer prev pk rt in
-          let key = key_of keyer kt genv mine sleep in
-          let remaining = fuel - depth in
-          let slot = Memo.find_opt memo key in
-          match
-            match slot with
-            | None -> None
-            | Some entries ->
-              List.find_opt
-                (fun e ->
-                  (remaining >= e.e_need_fuel && budget >= e.e_need_env)
-                  || (remaining = e.e_fuel && budget = e.e_budget))
-                !entries
-          with
-          | Some e ->
-            (match stats with
-            | Some s -> s.es_memo_hits <- s.es_memo_hits + 1
-            | None -> ());
-            List.iter record e.e_outs;
-            (* Fold the pruned subtree's needs into the enclosing one's. *)
-            if e.e_need_fuel = max_int then fuel_cut := true
-            else if depth + e.e_need_fuel > !deepest then
-              deepest := depth + e.e_need_fuel;
-            if e.e_need_env = max_int then shallow_budget := 0
-            else if budget - e.e_need_env < !shallow_budget then
-              shallow_budget := budget - e.e_need_env
-          | None ->
-            (match stats with
-            | Some s -> s.es_memo_misses <- s.es_memo_misses + 1
-            | None -> ());
-            let n0 = !count in
-            let saved_deep = !deepest
-            and saved_low = !shallow_budget
-            and saved_cut = !fuel_cut in
-            deepest := depth;
-            shallow_budget := budget;
-            fuel_cut := false;
-            branch genv mine rt depth budget trace sleep kt;
-            (* Reached only when the subtree was exhausted without hitting
-               [max_outcomes] (otherwise [Stop] has propagated), so the
-               segment just recorded is complete and safe to replay. *)
-            let need_fuel = if !fuel_cut then max_int else !deepest - depth in
-            let need_env =
-              if !shallow_budget = 0 && interference then max_int
-              else budget - !shallow_budget
-            in
-            let added = !count - n0 in
-            if added <= memo_store_cap then begin
-              let e =
-                {
-                  e_fuel = remaining;
-                  e_budget = budget;
-                  e_need_fuel = need_fuel;
-                  e_need_env = need_env;
-                  e_outs = take_rev added !outcomes;
-                }
-              in
-              (* A subtree can revisit its own root's key deeper down and
-                 store it first, so an absent key is probed again. *)
-              let slot =
-                match slot with None -> Memo.find_opt memo key | Some _ -> slot
-              in
-              match slot with
-              | Some entries -> entries := e :: !entries
-              | None -> Memo.add memo key (ref [ e ])
-            end;
-            deepest := max saved_deep !deepest;
-            shallow_budget := min saved_low !shallow_budget;
-            fuel_cut := saved_cut || !fuel_cut
-        end
-    and branch genv mine rt depth budget trace sleep kt =
-      let mvs = moves genv Contrib.empty mine rt in
-      let envs =
-        if interference && budget > 0 then env_moves_aux genv mine rt else []
-      in
-      if mvs = [] && envs = [] then
-        (* Every thread is blocked on a disabled action.  If no
-           environment future (budget notwithstanding) re-enables any
-           move, this is a genuine deadlock — crash with the held-lock
-           and blocked-move witness; otherwise the interference budget
-           merely ran out: divergence, as before. *)
-        if confirms_stuck genv mine rt then
-          record
-            (Crashed
-               (Crash.make ~trace:(trace_steps trace) Crash.Deadlock
-                  (deadlock_message genv mine rt)))
-        else record Diverged
-      else begin
-        match por with
-        | None ->
-          List.iter
-            (fun mv ->
-              match mv.mv_next with
-              | Error c ->
-                record
-                  (Crashed
-                     (Crash.with_trace
-                        (trace_steps (Lazy.from_val mv.mv_name :: trace))
-                        c))
-              | Ok (genv', mine', rt') ->
-                go genv' mine' rt' (depth + 1) budget
-                  (Lazy.from_val mv.mv_name :: trace)
-                  Por.Sleepset.empty rt kt)
-            mvs;
-          List.iter
-            (fun ev ->
-              go ev.ev_genv mine rt (depth + 1) (budget - 1) (ev.ev_name :: trace)
-                Por.Sleepset.empty rt kt)
-            envs
-        | Some p ->
-          (* Sleep-set reduction.  A slept move's subtree is exactly a
-             reordering (by declared-independent moves) of one already
-             explored at an ancestor, so it is skipped whole.  After a
-             move is explored it joins the sleep set for its later
-             siblings; a child keeps only the entries independent of the
-             move just taken ([Por.restrict]).  Membership, restriction
-             and extension are all dense int/bitset operations against
-             the oracle's precomputed adjacency — no string ids, no
-             footprint recomputation. *)
-          let sleeping = ref sleep in
-          let skip () =
-            Por.note_skip p;
-            match stats with
-            | Some s -> s.es_sleep_skips <- s.es_sleep_skips + 1
-            | None -> ()
-          in
-          List.iter
-            (fun mv ->
-              match mv.mv_next with
-              | Error c ->
-                (* Crash moves don't advance the state and are recorded at
-                   first sight; they never join the sleep set, so every
-                   counterexample stays reachable with full multiplicity
-                   of distinct schedules. *)
-                record
-                  (Crashed
-                     (Crash.with_trace
-                        (trace_steps (Lazy.from_val mv.mv_name :: trace))
-                        c))
-              | Ok (genv', mine', rt') -> (
-                let id =
-                  Por.intern_prog p ~path:mv.mv_path ~name:mv.mv_name
-                    ~fp:mv.mv_fp
-                in
-                if Por.Sleepset.mem !sleeping id then skip ()
-                else begin
-                  (match
-                     find_lie ~allowed:(Por.move_allowed p id)
-                       ~touched:mv.mv_touched ~before:genv ~after:genv' ~mine
-                       ~mine'
-                   with
-                  | Some l ->
-                    raise
-                      (Analyzer_lie_exn
-                         (Crash.make
-                            ~trace:
-                              (trace_steps (Lazy.from_val mv.mv_name :: trace))
-                            Crash.Analyzer_lie
-                            (Fmt.str
-                               "analyzer lie: %s mutates label %a outside \
-                                its declared footprint %a — independence \
-                                claims involving it are void; demoting to \
-                                full exploration"
-                               mv.mv_name Label.pp l Footprint.pp mv.mv_fp)))
-                  | None -> ());
-                  go genv' mine' rt' (depth + 1) budget
-                    (Lazy.from_val mv.mv_name :: trace)
-                    (Por.restrict p !sleeping ~executed:id)
-                    rt kt;
-                  sleeping := Por.Sleepset.add !sleeping id
-                end))
-            mvs;
-          List.iter
-            (fun ev ->
-              let id =
-                Por.intern_env p ~label:ev.ev_label ~trans:ev.ev_trans
-                  ~index:ev.ev_index ~name:ev.ev_name
-              in
-              if Por.Sleepset.mem !sleeping id then skip ()
-              else begin
-                go ev.ev_genv mine rt (depth + 1) (budget - 1)
-                  (ev.ev_name :: trace)
-                  (Por.restrict p !sleeping ~executed:id)
-                  rt kt;
-                sleeping := Por.Sleepset.add !sleeping id
-              end)
-            envs
+  (* [prev] and [pk] are the parent's normalized tree and its key
+     ([no_prev] at the root and without dedup), which keying reuses. *)
+  let rec go :
+      genv -> Contrib.t -> 'a rt -> int -> int -> string Lazy.t list ->
+      'a rt -> rt_key -> unit =
+   fun genv mine rt depth budget trace prev pk ->
+    if depth > !deepest then deepest := depth;
+    if budget < !shallow_budget then shallow_budget := budget;
+    tick_budget ();
+    (match stats with Some s -> s.es_configs <- s.es_configs + 1 | None -> ());
+    match normalize genv mine rt with
+    | Norm_crash c -> record (Crashed (Crash.with_trace (trace_steps trace) c))
+    | Norm (genv, mine, RRet v) -> (
+      match view genv ~around:Contrib.empty ~mine with
+      | Some st -> record (Finished (v, st))
+      | None ->
+        record
+          (Crashed
+             (Crash.make ~trace:(trace_steps trace) Crash.Ghost_algebra
+                "final view invalid")))
+    | Norm (genv, mine, rt) ->
+      if depth >= fuel then begin
+        fuel_cut := true;
+        record Diverged
       end
+      else if not dedup then branch genv mine rt depth budget trace no_prev
+      else begin
+        let kt = key_tree keyer prev pk rt in
+        let key = key_of keyer kt genv mine in
+        let remaining = fuel - depth in
+        let slot = Memo.find_opt memo key in
+        match
+          match slot with
+          | None -> None
+          | Some entries ->
+            List.find_opt
+              (fun e ->
+                (remaining >= e.e_need_fuel && budget >= e.e_need_env)
+                || (remaining = e.e_fuel && budget = e.e_budget))
+              !entries
+        with
+        | Some e ->
+          (match stats with
+          | Some s -> s.es_memo_hits <- s.es_memo_hits + 1
+          | None -> ());
+          List.iter record e.e_outs;
+          (* Fold the pruned subtree's needs into the enclosing one's. *)
+          if e.e_need_fuel = max_int then fuel_cut := true
+          else if depth + e.e_need_fuel > !deepest then
+            deepest := depth + e.e_need_fuel;
+          if e.e_need_env = max_int then shallow_budget := 0
+          else if budget - e.e_need_env < !shallow_budget then
+            shallow_budget := budget - e.e_need_env
+        | None ->
+          (match stats with
+          | Some s -> s.es_memo_misses <- s.es_memo_misses + 1
+          | None -> ());
+          let n0 = !count in
+          let saved_deep = !deepest
+          and saved_low = !shallow_budget
+          and saved_cut = !fuel_cut in
+          deepest := depth;
+          shallow_budget := budget;
+          fuel_cut := false;
+          branch genv mine rt depth budget trace kt;
+          (* Reached only when the subtree was exhausted without hitting
+             [max_outcomes] (otherwise [Stop] has propagated), so the
+             segment just recorded is complete and safe to replay. *)
+          let need_fuel = if !fuel_cut then max_int else !deepest - depth in
+          let need_env =
+            if !shallow_budget = 0 && interference then max_int
+            else budget - !shallow_budget
+          in
+          let added = !count - n0 in
+          if added <= memo_store_cap then begin
+            let e =
+              {
+                e_fuel = remaining;
+                e_budget = budget;
+                e_need_fuel = need_fuel;
+                e_need_env = need_env;
+                e_outs = take_rev added !outcomes;
+              }
+            in
+            (* A subtree can revisit its own root's key deeper down and
+               store it first, so an absent key is probed again. *)
+            let slot =
+              match slot with None -> Memo.find_opt memo key | Some _ -> slot
+            in
+            match slot with
+            | Some entries -> entries := e :: !entries
+            | None -> Memo.add memo key (ref [ e ])
+          end;
+          deepest := max saved_deep !deepest;
+          shallow_budget := min saved_low !shallow_budget;
+          fuel_cut := saved_cut || !fuel_cut
+      end
+  and branch genv mine rt depth budget trace kt =
+    let mvs = moves genv Contrib.empty mine rt in
+    let envs =
+      if interference && budget > 0 then env_moves_aux genv mine rt else []
     in
-    let complete =
-      let rt0 = inject prog in
-      match
-        go genv0 mine0 rt0 0 env_budget [] Por.Sleepset.empty rt0 no_prev
-      with
-      | () -> true
-      | exception Stop -> false
-    in
-    (match stats with
-    | Some s when dedup ->
+    if mvs = [] && envs = [] then
+      (* Every thread is blocked on a disabled action.  If no
+         environment future (budget notwithstanding) re-enables any
+         move, this is a genuine deadlock — crash with the held-lock
+         and blocked-move witness; otherwise the interference budget
+         merely ran out: divergence, as before. *)
+      if confirms_stuck genv mine rt then
+        record
+          (Crashed
+             (Crash.make ~trace:(trace_steps trace) Crash.Deadlock
+                (deadlock_message genv mine rt)))
+      else record Diverged
+    else begin
+      List.iter
+        (fun mv ->
+          match mv.mv_next with
+          | Error c ->
+            record
+              (Crashed
+                 (Crash.with_trace
+                    (trace_steps (Lazy.from_val mv.mv_name :: trace))
+                    c))
+          | Ok (genv', mine', rt') ->
+            go genv' mine' rt' (depth + 1) budget
+              (Lazy.from_val mv.mv_name :: trace)
+              rt kt)
+        mvs;
+      List.iter
+        (fun ev ->
+          go ev.ev_genv mine rt (depth + 1) (budget - 1) (ev.ev_name :: trace)
+            rt kt)
+        envs
+    end
+  in
+  let complete =
+    let rt0 = inject prog in
+    match go genv0 mine0 rt0 0 env_budget [] rt0 no_prev with
+    | () -> true
+    | exception Stop -> false
+  in
+  (match stats with
+  | Some s ->
+    if dedup then begin
       let ms = Memo.stats memo in
       if ms.Hashtbl.max_bucket_length > s.es_max_bucket then
         s.es_max_bucket <- ms.Hashtbl.max_bucket_length
-    | Some _ | None -> ());
-    (List.rev !outcomes, complete)
-  in
-  let mw0 = match stats with Some _ -> Gc.minor_words () | None -> 0. in
-  let result =
-    match por with
-    | None -> run None
-    | Some p -> (
-      (* Restart-on-lie: outcomes recorded before the abort are discarded
-         (the rerun regenerates them); journal records already appended
-         are genuine discoveries and remain sound. *)
-      try run (Some p)
-      with Analyzer_lie_exn c ->
-        Por.record_lie p c;
-        run None)
-  in
-  (match stats with
-  | Some s -> s.es_minor_words <- s.es_minor_words +. (Gc.minor_words () -. mw0)
+    end;
+    s.es_minor_words <- s.es_minor_words +. (Gc.minor_words () -. mw0)
   | None -> ());
-  result
+  (List.rev !outcomes, complete)
 
 (* Run a single schedule chosen by [choose] (given the enabled move
    names, return the index to take); environment moves are not injected.

@@ -100,12 +100,6 @@ val config_key :
     is physically one of [rt0]'s reuses its part of [k0].  The result
     is physically the tree key built from scratch. *)
 
-val config_key_sleep :
-  keyer -> genv -> Contrib.t -> 'a rt -> Por.Sleepset.t -> config_key
-(** {!config_key} refined by a POR sleep set: the memo key the
-    POR-armed exploration uses.  Sleep sets are canonical bitsets, so
-    two permutations of the same slept moves produce equal keys. *)
-
 val config_key_rt : config_key -> rt_key
 (** The key's tree part. *)
 
@@ -136,16 +130,14 @@ type explore_stats = {
           the "explored states" the reports and benchmarks surface *)
   mutable es_memo_hits : int;  (** memoized subtrees replayed *)
   mutable es_memo_misses : int;  (** configurations explored afresh *)
-  mutable es_sleep_skips : int;  (** subtrees the POR sleep set pruned *)
   mutable es_max_bucket : int;
       (** most distinct configuration keys observed in one memo hash
           bucket *)
   mutable es_minor_words : float;
       (** [Gc.minor_words] allocated during exploration *)
 }
-(** Exploration accounting, so the effect of dedup/POR — and
-    the cost of the hot path itself — is measured rather than
-    guessed. *)
+(** Exploration accounting, so the effect of dedup — and the cost of
+    the hot path itself — is measured rather than guessed. *)
 
 val new_stats : unit -> explore_stats
 
@@ -157,7 +149,6 @@ val explore :
   ?dedup:bool ->
   ?budget:Budget.t ->
   ?journal:Journal.writer ->
-  ?por:Por.t ->
   ?stats:explore_stats ->
   genv ->
   Contrib.t ->
@@ -186,20 +177,8 @@ val explore :
     {!Journal.Counterexample} — durable evidence that survives a
     SIGKILL mid-search.
 
-    With [por], sleep-set partial-order reduction skips subtrees that
-    are reorderings (by moves the {!Por} oracle declares independent) of
-    subtrees already explored.  Every reachable configuration — hence
-    every finished state, crash and divergence — remains reachable; only
-    redundant re-entries are cut, so verdicts are preserved while
-    explored-state counts drop.  The reduction is self-checking: a move
-    that mutates a label outside its declared footprint while POR is
-    active voids the static analysis, so the exploration restarts with
-    reduction off and the lie is recorded in the oracle as a located
-    {!Crash.Analyzer_lie} diagnostic.  Memo keys incorporate the sleep
-    set, so [dedup] and [por] compose soundly.
-
     With [stats], explored-configuration counts are accumulated into the
-    given record (cumulative across a demotion's re-run).
+    given record.
 
     Stuck-state detection is always on: a configuration where every
     program move is disabled is checked against the bounded closure of

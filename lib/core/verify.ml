@@ -45,7 +45,9 @@ type failure = {
    [None] for sampled verdicts and for reports replayed from a journal
    (the journal image formats predate the counters and deliberately do
    not carry them — a replayed verdict is the same verdict, and its
-   original run's perf profile is not reproducible data). *)
+   original run's perf profile is not reproducible data).
+   [x_sleep_skips] is always 0, kept like [Pruned] above: the benchmark
+   harness still reads it, and the next benchmark change removes it. *)
 type expl_stats = {
   x_memo_hits : int;
   x_memo_misses : int;
@@ -58,7 +60,7 @@ let expl_of_sched (s : Sched.explore_stats) : expl_stats =
   {
     x_memo_hits = s.Sched.es_memo_hits;
     x_memo_misses = s.Sched.es_memo_misses;
-    x_sleep_skips = s.Sched.es_sleep_skips;
+    x_sleep_skips = 0;
     x_max_bucket = s.Sched.es_max_bucket;
     x_minor_words = s.Sched.es_minor_words;
   }
@@ -71,23 +73,10 @@ let merge_expl a b =
       {
         x_memo_hits = a.x_memo_hits + b.x_memo_hits;
         x_memo_misses = a.x_memo_misses + b.x_memo_misses;
-        x_sleep_skips = a.x_sleep_skips + b.x_sleep_skips;
+        x_sleep_skips = 0;
         x_max_bucket = max a.x_max_bucket b.x_max_bucket;
         x_minor_words = a.x_minor_words +. b.x_minor_words;
       }
-
-let pp_expl_stats ppf (x : expl_stats) =
-  Fmt.pf ppf
-    "memo %d hit%s / %d miss%s, %d sleep skip%s, bucket depth %d, %.0fk minor \
-     words"
-    x.x_memo_hits
-    (if x.x_memo_hits = 1 then "" else "s")
-    x.x_memo_misses
-    (if x.x_memo_misses = 1 then "" else "es")
-    x.x_sleep_skips
-    (if x.x_sleep_skips = 1 then "" else "s")
-    x.x_max_bucket
-    (x.x_minor_words /. 1000.)
 
 type report = {
   spec_name : string;
@@ -147,8 +136,8 @@ let exit_code reports =
 (* The engine: every setting a verification run reads besides the
    triple and its exploration bounds — configuration memoization in the
    scheduler (see [Sched.explore ~dedup]), the number of domains initial
-   states fan out over, the resource budget, the sampling base seed, the
-   journal, and partial-order reduction with its extra certificates.
+   states fan out over, the resource budget, the sampling base seed and
+   the journal.
    One immutable record in one reference: [with_engine] installs a
    whole new record and restores the old one, so a triple reads a
    consistent engine once, never a half-applied override. *)
@@ -158,8 +147,6 @@ type engine = {
   e_budget : Budget.limits;
   e_seed : int;
   e_journal : Journal.t option;
-  e_por : bool;
-  e_por_certs : string -> string -> bool;
 }
 
 let engine =
@@ -170,11 +157,9 @@ let engine =
       e_budget = Budget.no_limits;
       e_seed = 1;
       e_journal = None;
-      e_por = false;
-      e_por_certs = (fun _ _ -> false);
     }
 
-let with_engine ?dedup ?jobs ?budget ?seed ?journal ?por ?por_certs f =
+let with_engine ?dedup ?jobs ?budget ?seed ?journal f =
   let saved = !engine in
   engine :=
     {
@@ -183,8 +168,6 @@ let with_engine ?dedup ?jobs ?budget ?seed ?journal ?por ?por_certs f =
       e_budget = Option.value budget ~default:saved.e_budget;
       e_seed = Option.value seed ~default:saved.e_seed;
       e_journal = Option.value journal ~default:saved.e_journal;
-      e_por = Option.value por ~default:saved.e_por;
-      e_por_certs = Option.value por_certs ~default:saved.e_por_certs;
     };
   Fun.protect ~finally:(fun () -> engine := saved) f
 
@@ -300,7 +283,7 @@ let crash_of_pool_error (e : Pool.error) =
 type jctx = { jc_j : Journal.t; jc_spec : string; jc_tier : string }
 
 let params_digest ~mode ~fuel ~max_outcomes ~trials ~interference ~env_budget
-    ~max_failures ~por ~seed ~(lim : Budget.limits) ~eligible =
+    ~max_failures ~seed ~(lim : Budget.limits) ~eligible =
   (* A structural digest of the eligible initial states: two triples
      can share a spec name (e.g. the same rooted-spanning spec checked
      over several catalogue graphs), and only the initial states tell
@@ -310,13 +293,9 @@ let params_digest ~mode ~fuel ~max_outcomes ~trials ~interference ~env_budget
   let init_digest =
     List.fold_left (fun acc st -> (acc * 33) lxor State.hash st) 5381 eligible
   in
-  (* [por] is included even though verdicts are POR-invariant: the
-     replayed [states] count is not, and silently reporting a reduced
-     count for an unreduced run (or vice versa) would poison baselines. *)
   Fmt.str
-    "mode=%s,fuel=%d,outs=%d,trials=%d,intf=%b,envb=%d,maxf=%d,por=%b,seed=%d,dl=%a,words=%a,states=%a,init=%d,inith=%x"
-    mode fuel max_outcomes trials interference env_budget max_failures por
-    seed
+    "mode=%s,fuel=%d,outs=%d,trials=%d,intf=%b,envb=%d,maxf=%d,seed=%d,dl=%a,words=%a,states=%a,init=%d,inith=%x"
+    mode fuel max_outcomes trials interference env_budget max_failures seed
     Fmt.(option ~none:(any "-") float)
     lim.Budget.l_deadline_s
     Fmt.(option ~none:(any "-") int)
@@ -448,7 +427,7 @@ let unit_cached (jctx : jctx option) ~index ~(keep : state_result -> bool)
 (* One ladder attempt: a full exploration of every eligible state under
    an optional armed budget. *)
 let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
-    ~max_failures ~dedup ~jobs ~por ~por_certs ~(budget : Budget.t option)
+    ~max_failures ~dedup ~jobs ~(budget : Budget.t option)
     ?(jctx : jctx option) ~(world : World.t) ~(eligible : State.t list)
     (prog : 'a Prog.t) (spec : 'a Spec.t) : core =
   let interfere = if interference then World.labels world else [] in
@@ -460,23 +439,13 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
   in
   let explore_state st : state_result =
     let genv, mine = Sched.genv_of_state ~interfere world st in
-    (* One oracle and one stats record per initial state: explorations
-       fan out over pool domains, and both are mutated by the run. *)
+    (* One stats record per initial state: explorations fan out over
+       pool domains, and each run mutates its own. *)
     let stats = Sched.new_stats () in
-    let oracle = if por then Some (Por.make ~extra:por_certs ()) else None in
     let outs, compl =
       Sched.explore ~fuel ~max_outcomes ~interference ~env_budget ~dedup
-        ?budget ?journal:jwriter ?por:oracle ~stats genv mine prog
+        ?budget ?journal:jwriter ~stats genv mine prog
     in
-    Option.iter
-      (fun p ->
-        List.iter
-          (fun c ->
-            Logs.warn (fun m ->
-                m "%s: POR demoted to full exploration: %a" (Spec.name spec)
-                  Crash.pp c))
-          (Por.lies p))
-      oracle;
     let outcomes = ref 0 in
     let diverged = ref 0 in
     let failures = ref [] in
@@ -695,8 +664,6 @@ let check_triple ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
     e_budget = lim;
     e_seed = seed;
     e_journal = journal;
-    e_por = por;
-    e_por_certs = por_certs;
   } =
     !engine
   in
@@ -706,7 +673,7 @@ let check_triple ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
   in
   let params =
     params_digest ~mode:"exh" ~fuel ~max_outcomes ~trials:ladder_trials
-      ~interference ~env_budget ~max_failures ~por ~seed ~lim ~eligible
+      ~interference ~env_budget ~max_failures ~seed ~lim ~eligible
   in
   (* A journaled verdict for this spec under these exact engine
      parameters replays wholesale — the memoization that makes resumed
@@ -755,12 +722,9 @@ let check_triple ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
         journal;
       r
     in
-    (* POR rides the exhaustive rung, budgeted or not (fewer
-       configurations per tick).  The sampled rung runs single
-       schedules, where there is nothing to reduce. *)
     let attempt b =
       exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
-        ~max_failures ~dedup ~jobs ~por ~por_certs ~budget:b
+        ~max_failures ~dedup ~jobs ~budget:b
         ?jctx:(jctx Exhaustive None) ~world ~eligible prog spec
     in
     if Budget.is_unlimited lim then
@@ -831,7 +795,7 @@ let check_triple_random ?(fuel = 2000) ?(trials = 100) ?(interference = false)
   in
   let params =
     params_digest ~mode:"rand" ~fuel ~max_outcomes:0 ~trials ~interference
-      ~env_budget:0 ~max_failures ~por:false ~seed ~lim ~eligible
+      ~env_budget:0 ~max_failures ~seed ~lim ~eligible
   in
   let replayed =
     Option.bind journal (fun j ->

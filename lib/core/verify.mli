@@ -34,7 +34,11 @@ type failure = { initial : State.t; crash : Crash.t }
 type expl_stats = {
   x_memo_hits : int;  (** memoized-configuration cache hits *)
   x_memo_misses : int;  (** cache misses (configurations actually expanded) *)
-  x_sleep_skips : int;  (** subtrees skipped by sleep-set POR *)
+  x_sleep_skips : int;
+      (** Always 0.  It counted the subtrees a sleep-set partial-order
+          reduction skipped, and that reduction no longer exists; the
+          benchmark harness still names it for its [sched.sleep_skips]
+          metric, and the next benchmark change removes it. *)
   x_max_bucket : int;
       (** most distinct configuration keys observed in one memo-table
           hash bucket — a collision-quality probe for the hash-consed
@@ -54,10 +58,6 @@ val merge_expl :
   expl_stats option -> expl_stats option -> expl_stats option
 (** Pointwise sum ([x_max_bucket]: max); [None] is the unit. *)
 
-val pp_expl_stats : Format.formatter -> expl_stats -> unit
-(** One-line rendering, e.g.
-    ["memo 120 hits / 80 misses, 14 sleep skips, bucket depth 3, 52k minor words"]. *)
-
 type report = {
   spec_name : string;
   tier : tier;  (** the ladder tier that produced this verdict *)
@@ -67,10 +67,10 @@ type report = {
   diverged : int;  (** fuel-cut paths (partial correctness: not failures) *)
   complete : bool;  (** exploration exhausted every path *)
   states : int;
-      (** configurations explored under the active reductions (dedup,
-          POR) — the cost the Table 1 [States] column and the
-          POR benchmark surface.  0 for {!Sampled} verdicts, which run
-          single schedules rather than searching a space. *)
+      (** configurations explored (once per memoized configuration
+          under dedup) — the cost the Table 1 [States] column surfaces.
+          0 for {!Sampled} verdicts, which run single schedules rather
+          than searching a space. *)
   failures : failure list;
   worker_crashes : failure list;
       (** initial states whose exploration worker was quarantined (an
@@ -134,8 +134,6 @@ val with_engine :
   ?budget:Budget.limits ->
   ?seed:int ->
   ?journal:Journal.t option ->
-  ?por:bool ->
-  ?por_certs:(string -> string -> bool) ->
   (unit -> 'a) ->
   'a
 (** [with_engine ... f] runs [f] under the current engine with the
@@ -153,21 +151,6 @@ val with_engine :
     memoized replay is exact, and the parallel merge reproduces the
     sequential accounting (including skipping states after the first
     failing one).
-
-    [por] (default off) arms sleep-set partial-order reduction on the
-    exhaustive rung, with [por_certs] (default: none) as extra
-    independence certificates keyed by action name pair — the static
-    analyzer's algebraic (PCM-commutation) rule, beyond what footprint
-    disjointness shows; queried once per interned class pair, in both
-    orders, so tables may be ordered or symmetrically closed.  Every
-    reachable configuration — hence every verdict, failure and
-    counterexample — stays reachable; only [states] (and, on
-    diamond-heavy programs, wall-clock) drops.  A refuted independence
-    claim demotes that state's exploration to full expansion, logs the
-    located analyzer-lie diagnostic, and never changes the verdict.
-    POR participates in the engine-parameter digest, so journaled
-    verdicts never replay across a POR on/off change (the [states]
-    count would be wrong).
 
     [budget] (default {!Budget.no_limits}) arms cooperative resource
     ceilings per triple — wall-clock deadline, major-heap words,
@@ -212,7 +195,7 @@ val check_triple :
     precondition; check the postcondition in every terminal state and
     safety of every enabled action along the way.  Runs under the
     current engine (see {!with_engine}): its memoization, domain count,
-    POR, budget ladder and journal. *)
+    budget ladder and journal. *)
 
 val check_triple_random :
   ?fuel:int ->

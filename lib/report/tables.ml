@@ -44,15 +44,14 @@ let row_tier (r : row1) : Verify.tier =
   else Verify.Exhaustive
 
 (* Configurations explored across a row's reports — the column that
-   makes reductions visible: with --por the verdicts must not move but
-   States must shrink. *)
+   makes the cost of a row visible. *)
 let row_states (r : row1) : int =
   List.fold_left (fun acc rep -> acc + rep.Verify.states) 0 r.r_reports
 
 (* The exploration counters aggregated across a row's reports (memo
-   hits/misses and sleep skips sum, bucket depth maxes, minor words
-   sum); [None] when every report lacks counters (sampled or
-   journal-replayed verdicts). *)
+   hits/misses sum, bucket depth maxes, minor words sum); [None] when
+   every report lacks counters (sampled or journal-replayed
+   verdicts). *)
 let row_expl (r : row1) : Verify.expl_stats option =
   List.fold_left
     (fun acc rep -> Verify.merge_expl acc rep.Verify.expl)
@@ -84,21 +83,20 @@ let pp_table1 ppf rows =
        verdicts — see docs/ROBUSTNESS.md)@."
 
 (* The --stats companion table: the always-on exploration counters per
-   row, for eyeballing where memoization and POR actually bite.  A
+   row, for eyeballing where memoization actually bites.  A
    separate printer (not an option on [pp_table1]) because the plain
    table is passed around as a first-class [%a] value. *)
 let pp_table1_stats ppf rows =
-  Fmt.pf ppf "%-14s %10s %10s %10s %7s %12s@." "Program" "MemoHit" "MemoMiss"
-    "SleepSkip" "Bucket" "MinorWords";
+  Fmt.pf ppf "%-14s %10s %10s %7s %12s@." "Program" "MemoHit" "MemoMiss"
+    "Bucket" "MinorWords";
   List.iter
     (fun r ->
       match row_expl r with
-      | None -> Fmt.pf ppf "%-14s %10s %10s %10s %7s %12s@." r.r_name "-" "-"
-                  "-" "-" "-"
+      | None -> Fmt.pf ppf "%-14s %10s %10s %7s %12s@." r.r_name "-" "-" "-" "-"
       | Some x ->
-        Fmt.pf ppf "%-14s %10d %10d %10d %7d %12.0f@." r.r_name
-          x.Verify.x_memo_hits x.Verify.x_memo_misses x.Verify.x_sleep_skips
-          x.Verify.x_max_bucket x.Verify.x_minor_words)
+        Fmt.pf ppf "%-14s %10d %10d %7d %12.0f@." r.r_name
+          x.Verify.x_memo_hits x.Verify.x_memo_misses x.Verify.x_max_bucket
+          x.Verify.x_minor_words)
     rows
 
 (* Table 2. *)

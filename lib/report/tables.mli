@@ -26,8 +26,7 @@ val row_tier : row1 -> Fcsl_core.Verify.tier
 
 val row_states : row1 -> int
 (** Configurations explored across the row's reports — the States
-    column; under [--por] the verdicts must not move but this count
-    shrinks. *)
+    column. *)
 
 val pp_table1 : Format.formatter -> row1 list -> unit
 (** Renders the Tier column from {!row_tier}, a States column from
@@ -42,9 +41,9 @@ val row_expl : row1 -> Fcsl_core.Verify.expl_stats option
 
 val pp_table1_stats : Format.formatter -> row1 list -> unit
 (** The [table1 --stats] companion table: per-row memo hits/misses,
-    POR sleep skips, the most distinct configuration keys in one memo
-    bucket, and minor-heap allocation across the row's explorations.  Rows without counters (sampled or
-    replayed verdicts) render dashes. *)
+    the most distinct configuration keys in one memo bucket, and
+    minor-heap allocation across the row's explorations.  Rows without
+    counters (sampled or replayed verdicts) render dashes. *)
 
 val columns : Registry.concurroid_use list
 val column_header : Registry.concurroid_use -> string

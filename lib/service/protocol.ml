@@ -239,7 +239,6 @@ let report_json (r : Verify.report) : Json.t =
         [
           ("memo_hits", Json.Int x.Verify.x_memo_hits);
           ("memo_misses", Json.Int x.Verify.x_memo_misses);
-          ("sleep_skips", Json.Int x.Verify.x_sleep_skips);
         ]
   in
   Json.Obj

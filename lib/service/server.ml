@@ -162,6 +162,14 @@ let shed_spec case = "shed/" ^ case
 
 let is_shed_spec s = String.length s > 5 && String.sub s 0 5 = "shed/"
 
+let shed_total_of_records records =
+  List.fold_left
+    (fun acc -> function
+      | Journal.Spec_done ri when is_shed_spec ri.Journal.ri_spec ->
+        max acc ri.Journal.ri_states
+      | _ -> acc)
+    0 records
+
 let now () = Unix.gettimeofday ()
 
 let locked t f =
@@ -317,16 +325,16 @@ let create cfg =
       if not (Hashtbl.mem latest digest) then order := digest :: !order;
       Hashtbl.replace latest digest tier
     in
+    let records = Journal.recovered jrnl in
+    t.shed_total <- shed_total_of_records records;
     List.iter
       (function
-        | Journal.Spec_done ri when is_shed_spec ri.Journal.ri_spec ->
-          t.shed_total <- max t.shed_total ri.Journal.ri_states
         | Journal.Spec_done ri when is_ledger_spec ri.Journal.ri_spec ->
           note ri.Journal.ri_params (Some ri.Journal.ri_tier)
         | Journal.Spec_begin { spec; params } when is_ledger_spec spec ->
           note params None
         | _ -> ())
-      (Journal.recovered jrnl);
+      records;
     List.iter
       (fun digest ->
         match

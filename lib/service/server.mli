@@ -67,6 +67,12 @@ val config :
 
 type t
 
+val shed_total_of_records : Journal.record list -> int
+(** The cumulative shed count a journal's shed ledger records: the
+    largest count any surviving [shed/CASE] record carries (0 when there
+    is none).  [create] restores its counter with it under [sc_resume],
+    and [fcsl jobs status --json] reports it for a journal on disk. *)
+
 val create : config -> t
 (** Open (or recover) the journal and, under [sc_resume], re-enqueue
     the ledger's in-flight jobs as waiter-less keepers and replay each

@@ -22,7 +22,6 @@ let () =
       ("deadlock", Test_deadlock.suite);
       ("robust", Test_robust.suite);
       ("journal", Test_journal.suite);
-      ("por", Test_por.suite);
       ("repr", Test_repr.suite);
       ("service", Test_service.suite);
     ]

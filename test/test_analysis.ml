@@ -1,6 +1,7 @@
 (* The static analyzer: the footprint domain and its inference over the
-   DSL, the annotation-narrowing check, the surface race detector, and
-   the spec/concurroid lints. *)
+   DSL, the annotation-narrowing check, the surface race detector, the
+   spec/concurroid lints, and the independence analysis's PCM-law
+   certificates. *)
 
 open Fcsl_heap
 open Fcsl_core
@@ -164,6 +165,163 @@ let test_hide_lints () =
        (fun f -> f.Diag.f_rule = "hide-label-collision")
        (Lint.hide_lints ~loc:"span_root" clash_w prog))
 
+module Aux = Fcsl_pcm.Aux
+
+(* ------------------------------------------------------------------ *)
+(* Certified pairs really commute: QCheck over the coherent states.   *)
+(* ------------------------------------------------------------------ *)
+
+(* Each certified case paired with its name-indexed action inventory:
+   the sampling domain for the commutation property. *)
+let certed_cases =
+  lazy
+    (List.filter_map
+       (fun (m : Independence.matrix) ->
+         if m.Independence.x_certs = [] then None
+         else
+           match Independence.inventory_of_case m.Independence.x_case with
+           | None -> None
+           | Some inv ->
+             let by_name =
+               List.map
+                 (function
+                   | Independence.Any a as any -> (Action.name a, any))
+                 inv.Independence.i_actions
+             in
+             Some (m, inv.Independence.i_states, by_name))
+       (Independence.analyze_all ()))
+
+let prop_certs_commute =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"certified pairs commute on coherent states"
+       QCheck2.Gen.(triple (int_range 0 10_000) (int_range 0 10_000) (int_range 0 10_000))
+       (fun (ci, pi, si) ->
+         match Lazy.force certed_cases with
+         | [] -> QCheck2.Test.fail_report "no certified cases in the registry"
+         | cases ->
+           let m, states, by_name = List.nth cases (ci mod List.length cases) in
+           let certs = m.Independence.x_certs in
+           let a_name, b_name = List.nth certs (pi mod List.length certs) in
+           let st = List.nth states (si mod List.length states) in
+           let act n =
+             match List.assoc_opt n by_name with
+             | Some a -> a
+             | None ->
+               Alcotest.failf "%s: certified name %s not in inventory"
+                 m.Independence.x_case n
+           in
+           (match Independence.commute_sample (act a_name) (act b_name) st with
+           | Independence.Refuted why ->
+             QCheck2.Test.fail_reportf "%s: certified pair (%s, %s) refuted: %s"
+               m.Independence.x_case a_name b_name why
+           | Independence.Pass | Independence.Skip -> ());
+           true))
+
+(* The certificate's own bar: every certified pair has at least
+   [min_witnesses] Pass states in its case's enumeration. *)
+let test_cert_witnesses () =
+  List.iter
+    (fun (m, states, by_name) ->
+      List.iter
+        (fun (a_name, b_name) ->
+          let a = List.assoc a_name by_name and b = List.assoc b_name by_name in
+          let passes =
+            List.fold_left
+              (fun acc st ->
+                match Independence.commute_sample a b st with
+                | Independence.Pass -> acc + 1
+                | Independence.Skip -> acc
+                | Independence.Refuted why ->
+                  Alcotest.failf "%s: (%s, %s) refuted: %s"
+                    m.Independence.x_case a_name b_name why)
+              0 states
+          in
+          check
+            (Fmt.str "%s: (%s, %s) has >= %d witnesses" m.Independence.x_case
+               a_name b_name Independence.min_witnesses)
+            true
+            (passes >= Independence.min_witnesses))
+        m.Independence.x_certs)
+    (Lazy.force certed_cases)
+
+(* ------------------------------------------------------------------ *)
+(* Footprint algebra: canonical of_list, hide-under-par, join laws.   *)
+(* ------------------------------------------------------------------ *)
+
+let test_of_list_canonical () =
+  let l = Label.make "por_fp_a" and l2 = Label.make "por_fp_b" in
+  check "empty access list is bot" true
+    (Footprint.equal (Footprint.of_list [ (l, []) ]) Footprint.bot);
+  check "phantom label absent" false
+    (Footprint.mem (Footprint.of_list [ (l, []); (l2, [ Footprint.Read ]) ]) l);
+  check "repeated labels join" true
+    (Footprint.equal
+       (Footprint.of_list [ (l, [ Footprint.Read ]); (l, [ Footprint.Write ]) ])
+       (Footprint.of_list [ (l, [ Footprint.Read; Footprint.Write ]) ]))
+
+(* Regression: a [hide] nested under [par] scopes its installed label
+   away from the join, and the result is structurally canonical — equal
+   to building the same envelope directly. *)
+let test_hide_under_par () =
+  let hidden = Label.make "por_fp_hidden" in
+  let outer = Label.make "por_fp_outer" in
+  let priv = Label.make "por_fp_priv" in
+  let hs : Prog.hide_spec =
+    {
+      hs_priv = priv;
+      hs_conc = Span.concurroid hidden;
+      hs_decor = Fun.id;
+      hs_init = Aux.set Ptr.Set.empty;
+      hs_jaux = Aux.set Ptr.Set.empty;
+    }
+  in
+  let body = Prog.act (Span.trymark hidden (p 1)) in
+  let peer = Prog.act (Span.trymark outer (p 2)) in
+  let fp = Prog.footprint (Prog.par (Prog.hide hs body) peer) in
+  check "hidden label scoped away" false (Footprint.mem fp hidden);
+  check "peer label survives" true (Footprint.mem fp outer);
+  check "donating private label touched" true (Footprint.mem fp priv);
+  check "equals the directly built envelope" true
+    (Footprint.equal fp
+       (Footprint.join (Footprint.writes priv)
+          (Footprint.join
+             (Footprint.remove (Prog.footprint body) hidden)
+             (Prog.footprint peer))));
+  (* and the par join is symmetric *)
+  check "par join symmetric" true
+    (Footprint.equal fp
+       (Prog.footprint (Prog.par peer (Prog.hide hs body))))
+
+let fp_pool = lazy (Array.init 4 (fun i -> Label.make (Fmt.str "por_fp_p%d" i)))
+
+let gen_fp =
+  let open QCheck2.Gen in
+  let accesses =
+    oneofl
+      [
+        [];
+        [ Footprint.Read ];
+        [ Footprint.Read; Footprint.Write ];
+        [ Footprint.Read; Footprint.Cas ];
+        [ Footprint.Read; Footprint.Write; Footprint.Cas ];
+      ]
+  in
+  list_size (int_range 0 4) (pair (int_range 0 3) accesses) >|= fun bindings ->
+  let pool = Lazy.force fp_pool in
+  Footprint.of_list (List.map (fun (i, a) -> (pool.(i), a)) bindings)
+
+let prop_join_laws =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"footprint join commutative + idempotent"
+       QCheck2.Gen.(triple gen_fp gen_fp gen_fp)
+       (fun (a, b, c) ->
+         Footprint.equal (Footprint.join a b) (Footprint.join b a)
+         && Footprint.equal (Footprint.join a a) a
+         && Footprint.equal
+              (Footprint.join a (Footprint.join b c))
+              (Footprint.join (Footprint.join a b) c)
+         && Bool.equal (Footprint.commutes a b) (Footprint.commutes b a)))
+
 let suite =
   [
     Alcotest.test_case "footprint domain" `Quick test_footprint_domain;
@@ -178,4 +336,11 @@ let suite =
     Alcotest.test_case "all Table 1 rows clean" `Quick test_cases_clean;
     Alcotest.test_case "dead-label lint" `Quick test_dead_labels;
     Alcotest.test_case "hide lints" `Quick test_hide_lints;
+    prop_certs_commute;
+    Alcotest.test_case "certificates have enough witnesses" `Quick
+      test_cert_witnesses;
+    Alcotest.test_case "of_list is canonical" `Quick test_of_list_canonical;
+    Alcotest.test_case "hide under par scopes the label away" `Quick
+      test_hide_under_par;
+    prop_join_laws;
   ]

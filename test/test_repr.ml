@@ -1,183 +1,23 @@
-(* The dense representations behind the POR hot path (DESIGN.md
-   Section 14) are exact: sleep-set bitsets agree with a reference
-   set model and are canonical under permutation, the move interner is
-   idempotent and its precomputed adjacency agrees with the footprint
-   rule, the incremental genv hash equals the from-scratch fold at
-   every reachable configuration, and the whole registry's verdicts
-   AND explored-state counts are bit-identical to the pre-rewrite
-   engine (the PR that introduced POR), with POR on and off, under
-   -j 1 and -j 4. *)
+(* The dense representations behind the explorer's hot path (DESIGN.md
+   Section 14) are exact: the incremental genv hash equals the
+   from-scratch fold at every reachable configuration, incremental
+   configuration keys equal keys built from scratch, [Contrib.equal]
+   agrees with a set-union model, and the whole registry's verdicts AND
+   explored-state counts are bit-identical to pinned baselines: the
+   naive engine's under -j 1 and -j 4, and the memoized engine's states,
+   memo hits and misses under -j 1. *)
 
 open Fcsl_heap
 open Fcsl_core
 open Fcsl_casestudies
 module Aux = Fcsl_pcm.Aux
 module Registry = Fcsl_report.Registry
-module Independence = Fcsl_analysis.Independence
-module Sleepset = Por.Sleepset
 
 let check = Alcotest.(check bool)
 let p = Ptr.of_int
 
-(* ------------------------------------------------------------------ *)
-(* Sleepset vs the reference model: an int Set.                       *)
-(* ------------------------------------------------------------------ *)
-
-module IntSet = Set.Make (Int)
-
-let prop_sleepset_model =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:500
-       ~name:"Sleepset agrees with the Set model and is canonical"
-       QCheck2.Gen.(
-         pair (list_size (0 -- 40) (0 -- 300)) (list_size (0 -- 10) (0 -- 300)))
-       (fun (adds, probes) ->
-         let s = List.fold_left Sleepset.add Sleepset.empty adds in
-         let m = IntSet.of_list adds in
-         (* membership, cardinal, ascending elements *)
-         List.for_all (fun i -> Sleepset.mem s i = IntSet.mem i m) (adds @ probes)
-         && Sleepset.cardinal s = IntSet.cardinal m
-         && Sleepset.elements s = IntSet.elements m
-         && Sleepset.is_empty s = IntSet.is_empty m
-         (* canonical under permutation: reversed and sorted insertion
-            orders produce equal sets with equal hashes *)
-         &&
-         let rev = List.fold_left Sleepset.add Sleepset.empty (List.rev adds) in
-         let srt =
-           Sleepset.of_list (List.sort compare adds)
-         in
-         Sleepset.equal s rev && Sleepset.equal s srt
-         && Sleepset.hash s = Sleepset.hash rev
-         && Sleepset.hash s = Sleepset.hash srt
-         (* fold visits each member exactly once *)
-         && Sleepset.fold (fun i acc -> IntSet.add i acc) s IntSet.empty
-            |> IntSet.equal m))
-
-let test_sleepset_functional () =
-  let s0 = Sleepset.of_list [ 1; 33; 64 ] in
-  let s1 = Sleepset.add s0 200 in
-  check "add is functional: original unchanged" false (Sleepset.mem s0 200);
-  check "add is functional: new set extended" true (Sleepset.mem s1 200);
-  check "empty is empty" true (Sleepset.is_empty Sleepset.empty);
-  check "distinct sets differ" false (Sleepset.equal s0 s1)
-
-(* ------------------------------------------------------------------ *)
-(* The move interner: idempotent ids, faithful adjacency.             *)
-(* ------------------------------------------------------------------ *)
-
-let la = Label.make "repr_a"
-let lb = Label.make "repr_b"
-
-let fp_pool =
-  [ Footprint.bot; Footprint.reads la; Footprint.writes la; Footprint.cases la;
-    Footprint.touches la; Footprint.reads lb; Footprint.writes lb;
-    Footprint.touches lb;
-    Footprint.join (Footprint.reads la) (Footprint.writes lb); Footprint.top ]
-
-let prop_interner =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:300
-       ~name:"interner: idempotent ids, adjacency = footprint rule"
-       QCheck2.Gen.(
-         list_size (1 -- 12)
-           (triple (1 -- 6) (0 -- 3) (0 -- (List.length fp_pool - 1))))
-       (fun moves ->
-         let por = Por.make () in
-         let ids =
-           List.map
-             (fun (path, n, f) ->
-               let name = Printf.sprintf "act%d" n in
-               let fp = List.nth fp_pool f in
-               (Por.intern_prog por ~path ~name ~fp, fp))
-             moves
-         in
-         (* re-interning every move returns the same id *)
-         List.for_all2
-           (fun (path, n, f) (id, _) ->
-             Por.intern_prog por ~path ~name:(Printf.sprintf "act%d" n)
-               ~fp:(List.nth fp_pool f)
-             = id)
-           moves ids
-         (* no extra certificates: declared independence is exactly
-            footprint commutation, and symmetric *)
-         && List.for_all
-              (fun (i, fpi) ->
-                List.for_all
-                  (fun (j, fpj) ->
-                    Por.independent por i j = Footprint.commutes fpi fpj
-                    && Por.independent por i j = Por.independent por j i)
-                  ids)
-              ids))
-
-let test_interner_roundtrip () =
-  let por = Por.make () in
-  let id1 = Por.intern_prog por ~path:2 ~name:"push" ~fp:(Footprint.cases la) in
-  let id2 = Por.intern_prog por ~path:3 ~name:"push" ~fp:(Footprint.cases la) in
-  let id3 = Por.intern_prog por ~path:2 ~name:"pop" ~fp:(Footprint.cases la) in
-  check "same class, distinct positions: distinct ids" true (id1 <> id2);
-  check "distinct names: distinct ids" true (id1 <> id3);
-  Alcotest.(check string) "name round-trips" "push" (Por.move_name por id2);
-  check "fp round-trips" true
-    (Footprint.equal (Por.move_fp por id1) (Footprint.cases la));
-  let e1 =
-    Por.intern_env por ~label:la ~trans:"tick" ~index:0 ~name:(lazy "env@a")
-  in
-  let e1' =
-    Por.intern_env por ~label:la ~trans:"tick" ~index:0 ~name:(lazy "env@a")
-  in
-  let e2 =
-    Por.intern_env por ~label:la ~trans:"tick" ~index:1 ~name:(lazy "env@a")
-  in
-  let e3 =
-    Por.intern_env por ~label:lb ~trans:"tick" ~index:0 ~name:(lazy "env@b")
-  in
-  check "env intern is idempotent" true (e1 = e1');
-  check "distinct branch index: distinct ids" true (e1 <> e2);
-  check "env move shares its class name across branches" true
-    (Por.move_name por e1 = Por.move_name por e2);
-  check "env envelope is touches(label)" true
-    (Footprint.equal (Por.move_fp por e1) (Footprint.touches la));
-  (* env moves at distinct labels are independent (rule 3); program
-     moves confined to a commute with env moves at b but not at a *)
-  check "env@a indep env@b" true (Por.independent por e1 e3);
-  check "env@a not indep env@a'" false (Por.independent por e1 e2);
-  check "write@a not indep env@a" false (Por.independent por id1 e1);
-  check "write@a indep env@b" true (Por.independent por id1 e3);
-  (* restrict keeps exactly the independent slept moves *)
-  let sleep = Sleepset.of_list [ id1; id3; e3 ] in
-  let kept = Por.restrict por sleep ~executed:e1 in
-  check "restrict drops dependent moves" true
-    (Sleepset.elements kept = [ e3 ])
-
-let test_certs_symmetric () =
-  (* The extra-certificate hook is consulted once per ordered class
-     pair, so a one-sided table still certifies both orders through the
-     adjacency matrix. *)
-  let extra a b = a = "foo" && b = "bar" in
-  let por = Por.make ~extra () in
-  let f = Por.intern_prog por ~path:2 ~name:"foo" ~fp:(Footprint.writes la) in
-  let b = Por.intern_prog por ~path:3 ~name:"bar" ~fp:(Footprint.writes la) in
-  check "certified pair independent" true (Por.independent por f b);
-  check "certified pair independent (swapped)" true (Por.independent por b f);
-  (* and the analyzer's own tables answer symmetrically after the
-     build-time closure *)
-  let certs = Independence.certs_all () in
-  List.iter
-    (fun (m : Independence.matrix) ->
-      List.iter
-        (fun (a, b) ->
-          check
-            (Printf.sprintf "%s: cert (%s,%s) symmetric" m.Independence.x_case
-               a b)
-            true
-            (certs a b && certs b a))
-        m.Independence.x_certs)
-    (Independence.analyze_all ())
-
-(* ------------------------------------------------------------------ *)
-(* Sleep-set permutation: equal config keys.                          *)
-(* ------------------------------------------------------------------ *)
-
+(* A span configuration over a catalogue graph, the setting of the
+   ghash and incremental-key checks below. *)
 let span_setup triples =
   let sp = Label.make "repr_span" in
   let conc = Span.concurroid sp in
@@ -189,31 +29,6 @@ let span_setup triples =
          ~other:(Aux.set Ptr.Set.empty))
   in
   (sp, w, st)
-
-let test_sleep_permutation_key () =
-  let sp, w, st = span_setup [ (p 1, Ptr.null, Ptr.null) ] in
-  let genv, mine = Sched.genv_of_state ~interfere:(World.labels w) w st in
-  let rt =
-    Sched.inject
-      (Prog.par
-         (Prog.act (Span.trymark sp (p 1)))
-         (Prog.act (Span.trymark sp (p 1))))
-  in
-  let keyer = Sched.new_keyer () in
-  let key ids =
-    Sched.config_key_sleep keyer genv mine rt
-      (List.fold_left Sleepset.add Sleepset.empty ids)
-  in
-  let k1 = key [ 3; 17; 42 ] and k2 = key [ 42; 3; 17 ] in
-  check "permuted sleep sets: equal keys" true (Sched.config_key_equal k1 k2);
-  check "permuted sleep sets: equal hashes" true
-    (Sched.config_key_hash k1 = Sched.config_key_hash k2);
-  let k3 = key [ 3; 17 ] in
-  check "different sleep sets: unequal keys" false
-    (Sched.config_key_equal k1 k3);
-  let k0 = key [] in
-  check "empty sleep set: the plain key" true
-    (Sched.config_key_equal k0 (Sched.config_key keyer genv mine rt))
 
 (* ------------------------------------------------------------------ *)
 (* The incremental genv hash is the from-scratch fold, everywhere.    *)
@@ -505,27 +320,25 @@ let prop_contrib_equal =
 (* ------------------------------------------------------------------ *)
 
 (* Per row, two pinned count sets.  First, explored states of the
-   un-memoized engine without and with POR, recorded by the PR that
-   introduced sleep-set POR (BENCH_por.json of that revision): the
-   representation rewrite must not move a single count — move identity,
-   sleep semantics and iteration order are preserved exactly, only their
-   encoding changed.  Second, the default memoized engine's (POR off)
-   states, memo hits and memo misses, read off [fcsl table1 --stats]
-   before configuration keying became incremental: how a key is built
-   may change, which configurations it identifies may not. *)
+   un-memoized (naive) engine, recorded before the engine's
+   representation rewrite: no change to the engine may move a single
+   count.  Second, the default memoized engine's states, memo hits and
+   memo misses, read off [fcsl table1 --stats] before configuration
+   keying became incremental: how a key is built may change, which
+   configurations it identifies may not. *)
 let baseline =
   [
-    ("CAS-lock", (960, 960), (800, 112, 616));
-    ("Ticketed lock", (27472, 22288), (14400, 5432, 8744));
-    ("CG increment", (28432, 23248), (15200, 5544, 9360));
-    ("CG allocator", (104904, 66558), (31635, 10305, 19695));
-    ("Pair snapshot", (53355, 53355), (14757, 3471, 8764));
-    ("Treiber stack", (583938, 53541), (39933, 10432, 25815));
-    ("Spanning tree", (9172, 5551), (861, 195, 497));
-    ("Flat combiner", (86990, 44218), (8223, 2218, 5257));
-    ("Seq. stack", (16, 16), (16, 0, 15));
-    ("FC-stack", (53624, 10852), (787, 304, 459));
-    ("Prod/Cons", (547, 88), (58, 15, 41));
+    ("CAS-lock", 960, (800, 112, 616));
+    ("Ticketed lock", 27472, (14400, 5432, 8744));
+    ("CG increment", 28432, (15200, 5544, 9360));
+    ("CG allocator", 104904, (31635, 10305, 19695));
+    ("Pair snapshot", 53355, (14757, 3471, 8764));
+    ("Treiber stack", 583938, (39933, 10432, 25815));
+    ("Spanning tree", 9172, (861, 195, 497));
+    ("Flat combiner", 86990, (8223, 2218, 5257));
+    ("Seq. stack", 16, (16, 0, 15));
+    ("FC-stack", 53624, (787, 304, 459));
+    ("Prod/Cons", 547, (58, 15, 41));
   ]
 
 let find_case name =
@@ -540,33 +353,22 @@ let states reports =
   List.fold_left (fun acc r -> acc + r.Verify.states) 0 reports
 
 let test_baseline_differential () =
-  let certs = Independence.certs_all () in
   List.iter
     (fun jobs ->
       List.iter
-        (fun (name, (full_expected, por_expected), _) ->
+        (fun (name, full_expected, _) ->
           let case = find_case name in
           let full =
-            Verify.with_engine ~dedup:false ~jobs ~por:false (fun () ->
+            Verify.with_engine ~dedup:false ~jobs (fun () ->
                 case.Registry.c_verify ())
-          in
-          let por =
-            Verify.with_engine ~dedup:false ~jobs ~por:true ~por_certs:certs
-              (fun () -> case.Registry.c_verify ())
           in
           check
             (Printf.sprintf "%s (-j %d): all verdicts ok" name jobs)
             true
             (List.for_all (fun (_, ok) -> ok) (verdicts full));
-          Alcotest.(check (list (pair string bool)))
-            (Printf.sprintf "%s (-j %d): POR verdicts identical" name jobs)
-            (verdicts full) (verdicts por);
           Alcotest.(check int)
             (Printf.sprintf "%s (-j %d): full states = baseline" name jobs)
-            full_expected (states full);
-          Alcotest.(check int)
-            (Printf.sprintf "%s (-j %d): POR states = baseline" name jobs)
-            por_expected (states por))
+            full_expected (states full))
         baseline)
     [ 1; 4 ]
 
@@ -574,7 +376,7 @@ let test_memo_counters () =
   List.iter
     (fun (name, _, (states_expected, hits_expected, misses_expected)) ->
       let reports =
-        Verify.with_engine ~dedup:true ~jobs:1 ~por:false (fun () ->
+        Verify.with_engine ~dedup:true ~jobs:1 (fun () ->
             (find_case name).Registry.c_verify ())
       in
       let hits, misses =
@@ -595,16 +397,6 @@ let test_memo_counters () =
 
 let suite =
   [
-    prop_sleepset_model;
-    Alcotest.test_case "Sleepset add is functional" `Quick
-      test_sleepset_functional;
-    prop_interner;
-    Alcotest.test_case "interner round-trips names, fps, env classes" `Quick
-      test_interner_roundtrip;
-    Alcotest.test_case "certificates answer symmetrically" `Quick
-      test_certs_symmetric;
-    Alcotest.test_case "permuted sleep sets produce equal config keys" `Quick
-      test_sleep_permutation_key;
     Alcotest.test_case "ghash invariant on span configurations" `Quick
       test_ghash_span;
     Alcotest.test_case "ghash invariant on snapshot configurations" `Quick

@@ -464,7 +464,7 @@ let prop_crash_json_round_trip =
     [
       Crash.Unsafe_action; Crash.Ghost_algebra; Crash.Postcondition;
       Crash.Budget_exhausted; Crash.Injected_fault;
-      Crash.Internal_error; Crash.Analyzer_lie; Crash.Deadlock;
+      Crash.Internal_error; Crash.Deadlock;
       Crash.Protocol_error; Crash.Io_fault;
     ]
   in

@@ -826,6 +826,48 @@ let test_resume_serves_table () =
       check "the journal gained no ledger verdict and no unit" true
         (on_disk () = before))
 
+(* The shed ledger has one reader: what [Server.shed_total_of_records]
+   recovers from a daemon's journal is the count its health frame
+   reported.  Two of four submissions past a burst-2 token bucket shed;
+   the journal is read once the daemon has stopped and closed it. *)
+let test_shed_ledger_total () =
+  let dir = fresh_dir "shed-ledger" in
+  let reported =
+    with_server ~tag:"shed-ledger" ~dir ~job_delay_s:0.3 ~rate:(0.1, 2)
+      (fun ~socket ~dir:_ ->
+        let cn = Client.connect ~socket in
+        List.iter
+          (fun case ->
+            Client.send cn (Protocol.Submit { case; qos = Protocol.Gold }))
+          [ "CAS-lock"; "Seq. stack"; "FC-stack"; "Prod/Cons" ];
+        let frames =
+          List.init 4 (fun i ->
+              match Client.read_frame ~timeout_s:10. cn with
+              | Ok f -> f
+              | Error e -> failf "reply %d: %s" i e)
+        in
+        Alcotest.(check int) "two submissions shed" 2
+          (List.length
+             (List.filter
+                (fun f ->
+                  Option.bind (Json.member "type" f) Json.to_str = Some "shed")
+                frames));
+        Client.abandon cn;
+        let hc = Client.connect ~socket in
+        let total =
+          match Client.health hc with
+          | Ok frame -> Option.bind (Json.member "shed_total" frame) Json.to_int
+          | Error e -> failf "health: %a" Client.pp_submit_error e
+        in
+        Client.close hc;
+        total)
+  in
+  Alcotest.(check (option int)) "health counts both sheds" (Some 2) reported;
+  let records, _ = Journal.read dir in
+  Alcotest.(check (option int))
+    "the journal's shed ledger totals the health frame's count" reported
+    (Some (Server.shed_total_of_records records))
+
 let suite =
   [
     Alcotest.test_case "json: parse inverts to_string" `Quick
@@ -874,4 +916,6 @@ let suite =
       test_resume_keys_ledger_by_digest;
     Alcotest.test_case "serve: resumed daemon serves the table" `Quick
       test_resume_serves_table;
+    Alcotest.test_case "serve: shed ledger total matches health" `Quick
+      test_shed_ledger_total;
   ]
