@@ -327,6 +327,8 @@ type engine_row = {
   er_verdicts_equal : bool;
 }
 
+let total f rows = List.fold_left (fun a r -> a +. f r) 0. rows
+
 let verdict_summary reports =
   List.map
     (fun (r : Verify.report) ->
@@ -377,11 +379,10 @@ let pp_engine_rows ppf rows =
         r.er_dedup r.er_dedup_par
         (if r.er_verdicts_equal then "equal" else "DIFFER"))
     rows;
-  let tot f = List.fold_left (fun a r -> a +. f r) 0. rows in
   Fmt.pf ppf "%-14s %8.3fs %8.3fs %10.3fs@." "TOTAL"
-    (tot (fun r -> r.er_naive))
-    (tot (fun r -> r.er_dedup))
-    (tot (fun r -> r.er_dedup_par))
+    (total (fun r -> r.er_naive) rows)
+    (total (fun r -> r.er_dedup) rows)
+    (total (fun r -> r.er_dedup_par) rows)
 
 (* --- Robustness: budget-enforcement overhead (docs/ROBUSTNESS.md). ---
 
@@ -398,10 +399,9 @@ type robust_row = {
   rb_verdicts_equal : bool;
 }
 
-let rb_overhead_pct r =
-  if r.rb_unbudgeted > 0. then
-    (r.rb_armed -. r.rb_unbudgeted) /. r.rb_unbudgeted *. 100.
-  else nan
+(* Percent slowdown of [x] over [base]; NaN when [base] is zero. *)
+let overhead_pct ~base x =
+  if base > 0. then (x -. base) /. base *. 100. else nan
 
 let armed_untripped_limits () =
   Budget.limits ~deadline_s:3600.0 ~max_states:max_int
@@ -442,13 +442,14 @@ let pp_robust_rows ppf rows =
   List.iter
     (fun r ->
       Fmt.pf ppf "%-14s %10.3fs %8.3fs %8.1f%% %8s@." r.rb_name r.rb_unbudgeted
-        r.rb_armed (rb_overhead_pct r)
+        r.rb_armed
+        (overhead_pct ~base:r.rb_unbudgeted r.rb_armed)
         (if r.rb_verdicts_equal then "equal" else "DIFFER"))
     rows;
-  let tot f = List.fold_left (fun a r -> a +. f r) 0. rows in
-  let tb = tot (fun r -> r.rb_unbudgeted) and ta = tot (fun r -> r.rb_armed) in
+  let tb = total (fun r -> r.rb_unbudgeted) rows in
+  let ta = total (fun r -> r.rb_armed) rows in
   Fmt.pf ppf "%-14s %10.3fs %8.3fs %8.1f%%@." "TOTAL" tb ta
-    (if tb > 0. then (ta -. tb) /. tb *. 100. else nan)
+    (overhead_pct ~base:tb ta)
 
 (* --- Durability: journal-armed overhead (docs/ROBUSTNESS.md). ---
 
@@ -465,10 +466,6 @@ type journal_row = {
   jr_journaled : float;
   jr_verdicts_equal : bool;
 }
-
-let jr_overhead_pct r =
-  if r.jr_bare > 0. then (r.jr_journaled -. r.jr_bare) /. r.jr_bare *. 100.
-  else nan
 
 let journal_comparison () : journal_row list =
   let timed f =
@@ -514,107 +511,105 @@ let pp_journal_rows ppf rows =
   List.iter
     (fun r ->
       Fmt.pf ppf "%-14s %10.3fs %9.3fs %8.1f%% %8s@." r.jr_name r.jr_bare
-        r.jr_journaled (jr_overhead_pct r)
+        r.jr_journaled
+        (overhead_pct ~base:r.jr_bare r.jr_journaled)
         (if r.jr_verdicts_equal then "equal" else "DIFFER"))
     rows;
-  let tot f = List.fold_left (fun a r -> a +. f r) 0. rows in
-  let tb = tot (fun r -> r.jr_bare) and tj = tot (fun r -> r.jr_journaled) in
+  let tb = total (fun r -> r.jr_bare) rows in
+  let tj = total (fun r -> r.jr_journaled) rows in
   Fmt.pf ppf "%-14s %10.3fs %9.3fs %8.1f%%@." "TOTAL" tb tj
-    (if tb > 0. then (tj -. tb) /. tb *. 100. else nan)
+    (overhead_pct ~base:tb tj)
 
-(* --- BENCH_explore.json: the machine-readable record. --- *)
+(* --- The BENCH_*.json records: one [Json.t] each, printed once. --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* An undefined ratio (zero denominator) is NaN, which JSON cannot
+   spell: it is written as null. *)
+let num x = if Float.is_finite x then Json.Float x else Json.Null
 
-let json_num x = if Float.is_nan x then "null" else Printf.sprintf "%.1f" x
+let write_json path v =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string v);
+      output_char oc '\n')
 
 let write_bench_json ~path ~jobs (bench_rows : (string * float * float) list)
     (engine_rows : engine_row list) =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, ns, mw) ->
-      pr "    {\"name\": \"%s\", \"ns_per_run\": %s, \"major_words\": %s}%s\n"
-        (json_escape name) (json_num ns) (json_num mw)
-        (if i = List.length bench_rows - 1 then "" else ","))
-    bench_rows;
-  pr "  ],\n  \"engine_comparison\": {\n";
-  pr "    \"jobs\": %d,\n    \"cases\": [\n" jobs;
-  List.iteri
-    (fun i r ->
-      pr
-        "      {\"name\": \"%s\", \"naive_s\": %.4f, \"memoized_s\": %.4f, \
-         \"memoized_parallel_s\": %.4f, \"verdicts_equal\": %b}%s\n"
-        (json_escape r.er_name) r.er_naive r.er_dedup r.er_dedup_par
-        r.er_verdicts_equal
-        (if i = List.length engine_rows - 1 then "" else ","))
-    engine_rows;
-  pr "    ]\n  }\n}\n";
-  close_out oc
+  let bench (name, ns, mw) =
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("ns_per_run", num ns);
+        ("major_words", num mw);
+      ]
+  in
+  let engine r =
+    Json.Obj
+      [
+        ("name", Json.Str r.er_name);
+        ("naive_s", num r.er_naive);
+        ("memoized_s", num r.er_dedup);
+        ("memoized_parallel_s", num r.er_dedup_par);
+        ("verdicts_equal", Json.Bool r.er_verdicts_equal);
+      ]
+  in
+  write_json path
+    (Json.Obj
+       [
+         ("benchmarks", Json.Arr (List.map bench bench_rows));
+         ( "engine_comparison",
+           Json.Obj
+             [
+               ("jobs", Json.Int jobs);
+               ("cases", Json.Arr (List.map engine engine_rows));
+             ] );
+       ])
 
-(* --- BENCH_robust.json: the budget-overhead record. --- *)
+(* --- BENCH_robust.json and BENCH_journal.json: the overhead records. ---
+
+   Both have one shape: per case the plain and the armed wall time, the
+   overhead and whether the verdicts matched, then the totals.  Only
+   the key names differ. *)
+
+let write_overhead_json ~path ~section ~plain ~armed ?(extra = []) rows =
+  let case (name, tp, ta, equal) =
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        (plain, num tp);
+        (armed, num ta);
+        ("overhead_pct", num (overhead_pct ~base:tp ta));
+        ("verdicts_equal", Json.Bool equal);
+      ]
+  in
+  let tp = total (fun (_, t, _, _) -> t) rows in
+  let ta = total (fun (_, _, t, _) -> t) rows in
+  write_json path
+    (Json.Obj
+       [
+         ( section,
+           Json.Obj
+             ((("target_pct", Json.Float 5.0) :: extra)
+             @ [
+                 ("cases", Json.Arr (List.map case rows));
+                 ("total_" ^ plain, num tp);
+                 ("total_" ^ armed, num ta);
+                 ("total_overhead_pct", num (overhead_pct ~base:tp ta));
+               ]) );
+       ])
 
 let write_robust_json ~path (rows : robust_row list) =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr "{\n  \"budget_overhead\": {\n    \"target_pct\": 5.0,\n    \"cases\": [\n";
-  List.iteri
-    (fun i r ->
-      pr
-        "      {\"name\": \"%s\", \"unbudgeted_s\": %.4f, \"armed_s\": %.4f, \
-         \"overhead_pct\": %s, \"verdicts_equal\": %b}%s\n"
-        (json_escape r.rb_name) r.rb_unbudgeted r.rb_armed
-        (json_num (rb_overhead_pct r))
-        r.rb_verdicts_equal
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  let tot f = List.fold_left (fun a r -> a +. f r) 0. rows in
-  let tb = tot (fun r -> r.rb_unbudgeted) and ta = tot (fun r -> r.rb_armed) in
-  pr "    ],\n    \"total_unbudgeted_s\": %.4f,\n    \"total_armed_s\": %.4f,\n"
-    tb ta;
-  pr "    \"total_overhead_pct\": %s\n  }\n}\n"
-    (json_num (if tb > 0. then (ta -. tb) /. tb *. 100. else nan));
-  close_out oc
-
-(* --- BENCH_journal.json: the journal-overhead record. --- *)
+  write_overhead_json ~path ~section:"budget_overhead" ~plain:"unbudgeted_s"
+    ~armed:"armed_s"
+    (List.map
+       (fun r -> (r.rb_name, r.rb_unbudgeted, r.rb_armed, r.rb_verdicts_equal))
+       rows)
 
 let write_journal_json ~path (rows : journal_row list) =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr
-    "{\n  \"journal_overhead\": {\n    \"target_pct\": 5.0,\n    \
-     \"fsync_policy\": \"interval:0.05\",\n    \"cases\": [\n";
-  List.iteri
-    (fun i r ->
-      pr
-        "      {\"name\": \"%s\", \"unjournaled_s\": %.4f, \"journaled_s\": \
-         %.4f, \"overhead_pct\": %s, \"verdicts_equal\": %b}%s\n"
-        (json_escape r.jr_name) r.jr_bare r.jr_journaled
-        (json_num (jr_overhead_pct r))
-        r.jr_verdicts_equal
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  let tot f = List.fold_left (fun a r -> a +. f r) 0. rows in
-  let tb = tot (fun r -> r.jr_bare) and tj = tot (fun r -> r.jr_journaled) in
-  pr
-    "    ],\n    \"total_unjournaled_s\": %.4f,\n    \"total_journaled_s\": \
-     %.4f,\n"
-    tb tj;
-  pr "    \"total_overhead_pct\": %s\n  }\n}\n"
-    (json_num (if tb > 0. then (tj -. tb) /. tb *. 100. else nan));
-  close_out oc
+  write_overhead_json ~path ~section:"journal_overhead"
+    ~plain:"unjournaled_s" ~armed:"journaled_s"
+    ~extra:[ ("fsync_policy", Json.Str "interval:0.05") ]
+    (List.map
+       (fun r -> (r.jr_name, r.jr_bare, r.jr_journaled, r.jr_verdicts_equal))
+       rows)
 
 (* --- The regenerated evaluation artifacts. --- *)
 
@@ -843,6 +838,21 @@ let serve_comparison () =
       in
       (rows, tput))
 
+(* Poll [cn]'s health frame until [pred] holds (about 10 s at most). *)
+let await_health cn what pred =
+  let rec go tries =
+    match Sv_client.health cn with
+    | Ok h when pred h -> ()
+    | Ok _ when tries > 0 ->
+      Thread.delay 0.005;
+      go (tries - 1)
+    | Ok _ -> failwith ("bench overload: timed out waiting for " ^ what)
+    | Error e ->
+      failwith
+        (Fmt.str "bench overload: health: %a" Sv_client.pp_submit_error e)
+  in
+  go 2000
+
 (* The overload row: [serve_clients] concurrent clients flood a
    deliberately tiny queue (bound 2, high watermark 1) with bronze
    submissions — each client walks the registry once, rotated so
@@ -851,7 +861,17 @@ let serve_comparison () =
    observed and the gold p50 during the flood and on the quiet daemon.
    Gated: sheds happened at all (the queue really saturated) and the
    flood-time gold p50 stayed below one job's delay
-   ([serve_overload_job_delay_s]). *)
+   ([serve_overload_job_delay_s]).
+
+   Most flood submissions attach to an in-flight job or hit the verdict
+   table, so whether one of them sheds depends on thread timing.  The
+   row therefore saturates the daemon first, by construction: one
+   silver job per flood case, each on its own connection.  The first
+   (CG increment, seconds of exploration) occupies the executor and the
+   other two fill the queue to its bound.  Once health reports the
+   daemon overloaded with a full queue, it stays overloaded until the
+   executor has drained both queued jobs, so a fresh bronze digest
+   submitted then must be shed. *)
 let serve_overload_run () =
   with_serve_daemon ~tag:"-overload" ~queue_bound:serve_overload_queue_bound
     ~overload_high:1 ~overload_low:0 ~job_delay_s:serve_overload_job_delay_s
@@ -869,6 +889,46 @@ let serve_overload_run () =
       let subs = Atomic.make 0 in
       let sheds = Atomic.make 0 in
       let flood_err = Atomic.make None in
+      let submit conn qos (c : Registry.case) =
+        Atomic.incr subs;
+        let r = Sv_client.submit ~qos conn ~case:c.Registry.c_name in
+        (match r with
+        | Ok _ -> ()
+        | Error (Sv_client.Shed _) -> Atomic.incr sheds
+        | Error e ->
+          Atomic.set flood_err
+            (Some (Fmt.str "%a" Sv_client.pp_submit_error e)));
+        r
+      in
+      let on_own_conn qos c =
+        Thread.create
+          (fun () ->
+            let cn = Sv_client.connect ~socket in
+            ignore (submit cn qos c);
+            Sv_client.close cn)
+          ()
+      in
+      let gauge k conv h = Option.bind (Json.member k h) conv in
+      let saturating =
+        match serve_overload_flood_cases with
+        | [] -> []
+        | first :: rest ->
+          let busy = on_own_conn Fcsl_service.Protocol.Silver first in
+          await_health cn "the executor to take the first job" (fun h ->
+              gauge "inflight" Json.to_int h = Some 1);
+          let queued =
+            List.map (on_own_conn Fcsl_service.Protocol.Silver) rest
+          in
+          await_health cn "a full queue" (fun h ->
+              gauge "queue_depth" Json.to_int h
+              = Some serve_overload_queue_bound
+              && gauge "overload_state" Json.to_str h = Some "overloaded");
+          (match submit cn Fcsl_service.Protocol.Bronze first with
+          | Ok _ ->
+            failwith "bench overload: a saturated daemon admitted bronze"
+          | Error _ -> ());
+          busy :: queued
+      in
       let flooder i () =
         Atomic.incr running;
         let cases =
@@ -889,14 +949,8 @@ let serve_overload_run () =
         let cn = Sv_client.connect ~socket in
         for _round = 1 to 2 do
           List.iter
-            (fun ((c : Registry.case), qos) ->
-              Atomic.incr subs;
-              (match Sv_client.submit ~qos cn ~case:c.Registry.c_name with
-              | Ok _ -> ()
-              | Error (Sv_client.Shed _) -> Atomic.incr sheds
-              | Error e ->
-                Atomic.set flood_err
-                  (Some (Fmt.str "%a" Sv_client.pp_submit_error e)));
+            (fun (c, qos) ->
+              ignore (submit cn qos c);
               Thread.delay 0.02)
             cases
         done;
@@ -917,11 +971,11 @@ let serve_overload_run () =
         else s :: acc
       in
       (* wait for the flood to actually start before probing *)
-      while Atomic.get subs = 0 do
+      while Atomic.get running = 0 do
         Thread.delay 0.005
       done;
       let flood = probes [] in
-      List.iter Thread.join threads;
+      List.iter Thread.join (threads @ saturating);
       Sv_client.close cn;
       (match Atomic.get flood_err with
       | Some msg -> failwith ("bench overload flood: " ^ msg)
@@ -968,41 +1022,53 @@ let pp_serve_overload ppf ov =
 let write_serve_json ~path
     ((rows, tput, ov) :
       serve_row list * serve_throughput * serve_overload) =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr "{\n  \"serve\": {\n    \"target_speedup\": %.1f,\n    \"cases\": [\n"
-    serve_target_speedup;
-  List.iteri
-    (fun i r ->
-      pr
-        "      {\"name\": \"%s\", \"cold_s\": %.4f, \"memo_p50_s\": %.5f, \
-         \"speedup\": %s}%s\n"
-        (json_escape r.sv_name) r.sv_cold_s r.sv_memo_p50_s
-        (json_num (sv_speedup r))
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "    ],\n    \"total_cold_s\": %.4f,\n    \"total_memo_p50_s\": %.5f,\n"
-    (serve_total_cold rows) (serve_total_memo rows);
-  pr "    \"total_speedup\": %s,\n" (json_num (serve_total_speedup rows));
-  pr
-    "    \"throughput\": {\"clients\": %d, \"submissions\": %d, \
-     \"elapsed_s\": %.4f, \"verdicts_per_s\": %s},\n"
-    serve_clients tput.st_submissions tput.st_elapsed_s
-    (json_num
-       (if tput.st_elapsed_s > 0. then
-          float_of_int tput.st_submissions /. tput.st_elapsed_s
-        else nan));
-  pr
-    "    \"overload\": {\"clients\": %d, \"queue_bound\": %d, \
-     \"submissions\": %d, \"shed\": %d, \"shed_rate\": %s, \
-     \"gold_idle_p50_s\": %.5f, \"gold_flood_p50_s\": %.5f, \
-     \"max_flood_p50_s\": %.2f},\n"
-    serve_clients serve_overload_queue_bound ov.so_submissions ov.so_shed
-    (json_num (so_shed_rate ov))
-    ov.so_gold_idle_p50_s ov.so_gold_flood_p50_s serve_overload_job_delay_s;
-  pr "    \"targets_met\": %b\n  }\n}\n"
-    (serve_targets_met rows && serve_overload_met ov);
-  close_out oc
+  let case r =
+    Json.Obj
+      [
+        ("name", Json.Str r.sv_name);
+        ("cold_s", num r.sv_cold_s);
+        ("memo_p50_s", num r.sv_memo_p50_s);
+        ("speedup", num (sv_speedup r));
+      ]
+  in
+  write_json path
+    (Json.Obj
+       [
+         ( "serve",
+           Json.Obj
+             [
+               ("target_speedup", Json.Float serve_target_speedup);
+               ("cases", Json.Arr (List.map case rows));
+               ("total_cold_s", num (serve_total_cold rows));
+               ("total_memo_p50_s", num (serve_total_memo rows));
+               ("total_speedup", num (serve_total_speedup rows));
+               ( "throughput",
+                 Json.Obj
+                   [
+                     ("clients", Json.Int serve_clients);
+                     ("submissions", Json.Int tput.st_submissions);
+                     ("elapsed_s", num tput.st_elapsed_s);
+                     ( "verdicts_per_s",
+                       num
+                         (float_of_int tput.st_submissions /. tput.st_elapsed_s)
+                     );
+                   ] );
+               ( "overload",
+                 Json.Obj
+                   [
+                     ("clients", Json.Int serve_clients);
+                     ("queue_bound", Json.Int serve_overload_queue_bound);
+                     ("submissions", Json.Int ov.so_submissions);
+                     ("shed", Json.Int ov.so_shed);
+                     ("shed_rate", num (so_shed_rate ov));
+                     ("gold_idle_p50_s", num ov.so_gold_idle_p50_s);
+                     ("gold_flood_p50_s", num ov.so_gold_flood_p50_s);
+                     ("max_flood_p50_s", num serve_overload_job_delay_s);
+                   ] );
+               ( "targets_met",
+                 Json.Bool (serve_targets_met rows && serve_overload_met ov) );
+             ] );
+       ])
 
 let run_serve () =
   Fmt.pr "== Service memoization: cold vs journal-memoized latency ==@.";

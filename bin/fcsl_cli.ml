@@ -604,10 +604,10 @@ let submit_cmd =
           match outcome with
           | Ok v ->
             if json then
-              print_endline (Fcsl_service.Json.to_string v.Fcsl_service.Client.v_frame)
+              print_endline (Json.to_string v.Fcsl_service.Client.v_frame)
             else if canonical then
               print_endline
-                (Fcsl_service.Json.to_string
+                (Json.to_string
                    (Fcsl_service.Protocol.canonical_verdict
                       v.Fcsl_service.Client.v_frame))
             else
@@ -885,11 +885,12 @@ let injected_deadlock_verdicts () =
   ]
 
 let deadlock_json () =
-  Printf.sprintf "{\"verdicts\": [%s], \"injected\": [%s]}"
-    (String.concat ", "
-       (List.map Deadlock.verdict_to_json (registry_deadlock_verdicts ())))
-    (String.concat ", "
-       (List.map Deadlock.verdict_to_json (injected_deadlock_verdicts ())))
+  let verdicts vs = Json.Arr (List.map Deadlock.verdict_to_json vs) in
+  Json.Obj
+    [
+      ("verdicts", verdicts (registry_deadlock_verdicts ()));
+      ("injected", verdicts (injected_deadlock_verdicts ()));
+    ]
 
 let deadlock_ok () =
   List.for_all Deadlock.clean (registry_deadlock_verdicts ())
@@ -978,15 +979,9 @@ let analyze_cmd =
   (* The independence matrices, prose or JSON. *)
   let run_independence json =
     let ms = Independence.analyze_all () in
-    if json then begin
-      print_string "[";
-      List.iteri
-        (fun i m ->
-          if i > 0 then print_string ", ";
-          print_string (Independence.matrix_to_json m))
-        ms;
-      print_string "]\n"
-    end
+    if json then
+      print_endline
+        (Json.to_string (Json.Arr (List.map Independence.matrix_to_json ms)))
     else
       List.iter (fun m -> Fmt.pr "%a@.@." Independence.pp_matrix m) ms;
     (* Lie demotions surface at verification time; the matrices
@@ -1015,11 +1010,10 @@ let analyze_cmd =
           (fun (n, fs) -> ("injected:" ^ n, fs))
           (Injected.all_variants ())
     in
-    print_string
-      (Diag.results_to_json
-         ~deadlock:(deadlock_json ())
-         (file_ok @ file_broken @ case_results @ injected_results));
-    print_newline ();
+    print_endline
+      (Json.to_string
+         (Diag.results_to_json ~deadlock:(deadlock_json ())
+            (file_ok @ file_broken @ case_results @ injected_results)));
     let code =
       analyze_exit ~broken
         ~results:(file_ok @ case_results)

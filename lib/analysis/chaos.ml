@@ -572,7 +572,6 @@ let run_kill9 ?cases ?(seed = 1) () =
    journaled as a memoizable verdict, and every frame — garbage
    included — gets a structured answer, never a hang or a crash. *)
 
-module Json = Fcsl_service.Json
 module Protocol = Fcsl_service.Protocol
 module Server = Fcsl_service.Server
 module Client = Fcsl_service.Client

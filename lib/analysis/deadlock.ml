@@ -568,19 +568,14 @@ let pp_verdict ppf v =
     Fmt.(list ~sep:nop (fun ppf f -> Fmt.pf ppf "@ %a" Diag.pp f))
     v.v_findings
 
-let json_string_list xs =
-  "[" ^ String.concat ", " (List.map (fun x -> "\"" ^ Diag.json_escape x ^ "\"") xs)
-  ^ "]"
-
 let verdict_to_json v =
-  Printf.sprintf
-    "{\"case\": \"%s\", \"locks\": %s, \"clean\": %b, \"order\": %s, \
-     \"cycles\": [%s], \"findings\": [%s]}"
-    (Diag.json_escape v.v_case)
-    (json_string_list v.v_locks)
-    (clean v)
-    (match v.v_order with
-    | None -> "null"
-    | Some order -> json_string_list order)
-    (String.concat ", " (List.map json_string_list v.v_cycles))
-    (String.concat ", " (List.map Diag.finding_to_json v.v_findings))
+  let strs xs = Json.Arr (List.map (fun x -> Json.Str x) xs) in
+  Json.Obj
+    [
+      ("case", Json.Str v.v_case);
+      ("locks", strs v.v_locks);
+      ("clean", Json.Bool (clean v));
+      ("order", Option.fold ~none:Json.Null ~some:strs v.v_order);
+      ("cycles", Json.Arr (List.map strs v.v_cycles));
+      ("findings", Json.Arr (List.map Diag.finding_to_json v.v_findings));
+    ]

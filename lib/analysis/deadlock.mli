@@ -162,4 +162,4 @@ val witness_locks : Crash.t -> string list
 (** {1 Rendering} *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
-val verdict_to_json : verdict -> string
+val verdict_to_json : verdict -> Json.t

@@ -47,19 +47,7 @@ let pp_list ppf = function
    is deterministic), no timestamps — so [diff] against a committed
    baseline is meaningful. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Fcsl_core.Json
 
 let severity_string = function
   | Error -> "error"
@@ -67,43 +55,34 @@ let severity_string = function
   | Info -> "info"
 
 let finding_to_json f =
-  Printf.sprintf
-    "{\"rule\": \"%s\", \"severity\": \"%s\", \"loc\": \"%s\", \"msg\": \
-     \"%s\", \"detail\": [%s]}"
-    (json_escape f.f_rule)
-    (severity_string f.f_severity)
-    (json_escape f.f_loc) (json_escape f.f_msg)
-    (String.concat ", "
-       (List.map (fun d -> Printf.sprintf "\"%s\"" (json_escape d)) f.f_detail))
+  Json.Obj
+    [
+      ("rule", Json.Str f.f_rule);
+      ("severity", Json.Str (severity_string f.f_severity));
+      ("loc", Json.Str f.f_loc);
+      ("msg", Json.Str f.f_msg);
+      ("detail", Json.Arr (List.map (fun d -> Json.Str d) f.f_detail));
+    ]
 
 (* One object per analyzed unit (case study, file, injected variant):
    {"schema_version": 2, "cases": [{"case": NAME, "findings": [...]},
    ...], "deadlock": ...}.  The [cases] array is byte-identical to the
    schema-1 payload, so baseline diff logic scoped to the untouched
-   sections keeps passing; [deadlock] (when supplied, as pre-rendered
-   JSON — see {!Deadlock.verdict_to_json}) carries the lock-order
-   verdicts.  [schema_version] bumps whenever a consumer could need to
-   dispatch: 1 = the bare {"cases"} object, 2 = this shape. *)
+   sections keeps passing; [deadlock] (when supplied — see
+   {!Deadlock.verdict_to_json}) carries the lock-order verdicts.
+   [schema_version] bumps whenever a consumer could need to dispatch:
+   1 = the bare {"cases"} object, 2 = this shape. *)
 let schema_version = 2
 
-let results_to_json ?deadlock (results : (string * finding list) list) : string
-    =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema_version\": %d, \"cases\": [" schema_version);
-  List.iteri
-    (fun i (name, fs) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "{\"case\": \"%s\", \"findings\": [%s]}"
-           (json_escape name)
-           (String.concat ", " (List.map finding_to_json fs))))
-    results;
-  Buffer.add_string b "]";
-  Option.iter
-    (fun dl ->
-      Buffer.add_string b ", \"deadlock\": ";
-      Buffer.add_string b dl)
-    deadlock;
-  Buffer.add_string b "}";
-  Buffer.contents b
+let results_to_json ?deadlock (results : (string * finding list) list) =
+  let case (name, fs) =
+    Json.Obj
+      [
+        ("case", Json.Str name);
+        ("findings", Json.Arr (List.map finding_to_json fs));
+      ]
+  in
+  Json.Obj
+    (("schema_version", Json.Int schema_version)
+    :: ("cases", Json.Arr (List.map case results))
+    :: Option.fold ~none:[] ~some:(fun dl -> [ ("deadlock", dl) ]) deadlock)

@@ -468,44 +468,25 @@ let pp_matrix ppf (m : matrix) =
     m.x_pairs;
   Fmt.pf ppf "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let matrix_to_json (m : matrix) : string =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"case\": \"%s\", \"moves\": [" (json_escape m.x_case));
-  List.iteri
-    (fun i mv ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape mv.m_name)))
-    m.x_moves;
-  Buffer.add_string b "], \"pairs\": [";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string b ", ";
-      let indep, rule, why =
-        match p.p_verdict with
-        | Independent { rule; why } -> (true, rule, why)
-        | Dependent { why } -> (false, "dep", why)
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"a\": \"%s\", \"b\": \"%s\", \"independent\": %b, \"rule\": \
-            \"%s\", \"why\": \"%s\"}"
-           (json_escape p.p_a) (json_escape p.p_b) indep (json_escape rule)
-           (json_escape why)))
-    m.x_pairs;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let matrix_to_json (m : matrix) =
+  let pair p =
+    let indep, rule, why =
+      match p.p_verdict with
+      | Independent { rule; why } -> (true, rule, why)
+      | Dependent { why } -> (false, "dep", why)
+    in
+    Json.Obj
+      [
+        ("a", Json.Str p.p_a);
+        ("b", Json.Str p.p_b);
+        ("independent", Json.Bool indep);
+        ("rule", Json.Str rule);
+        ("why", Json.Str why);
+      ]
+  in
+  Json.Obj
+    [
+      ("case", Json.Str m.x_case);
+      ("moves", Json.Arr (List.map (fun mv -> Json.Str mv.m_name) m.x_moves));
+      ("pairs", Json.Arr (List.map pair m.x_pairs));
+    ]

@@ -78,6 +78,6 @@ val analyze_all : unit -> matrix list
 val independent_count : matrix -> int
 val pp_matrix : Format.formatter -> matrix -> unit
 
-val matrix_to_json : matrix -> string
+val matrix_to_json : matrix -> Json.t
 (** Stable shape for CI: {["{\"case\": .., \"moves\": [..], \"pairs\":
     [{\"a\", \"b\", \"independent\", \"rule\", \"why\"}]}"]}. *)

@@ -75,15 +75,16 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** ["<kind>: <msg> [schedule: s1 ; s2]"]. *)
 
-val to_json : t -> string
-(** One-line JSON object: [{"kind": ..., "msg": ..., "schedule": [...]}]. *)
+val to_json : t -> Json.t
+(** [{"kind": ..., "msg": ..., "schedule": [...]}]: what the journal
+    stores and the service's error and verdict frames carry. *)
 
 val kind_of_name : string -> kind option
 (** Inverse of {!kind_name}; [None] on an unknown name. *)
 
-val of_json : string -> (t, string) result
-(** Parse {!to_json}'s rendering back (a hand-rolled parser — the
-    engine carries no JSON dependency).  Round-trips:
-    [of_json (to_json c) = Ok c'] with [equal c c'] and
-    [trace c' = trace c].  Unknown object keys are skipped; an unknown
-    kind, malformed escape or trailing garbage is an [Error]. *)
+val of_json : Json.t -> (t, string) result
+(** Read {!to_json}'s value back: [of_json (to_json c) = Ok c'] with
+    [equal c c'] and [trace c' = trace c].  Unknown object keys are
+    skipped; a non-object, a missing or non-string kind or message, an
+    unknown kind or a schedule that is not a string array is an
+    [Error].  Text goes through {!Json.parse} first. *)

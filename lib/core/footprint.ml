@@ -138,21 +138,6 @@ let equal a b =
   | Fp ma, Fp mb -> Label.Map.equal (fun x y -> accs_leq x y && accs_leq y x) ma mb
   | (Top | Fp _), _ -> false
 
-(* Canonical: the map never stores all-false bindings (see [of_list];
-   [join]/[remove] preserve the invariant), so folding in ascending
-   label order is consistent with {!equal}. *)
-let accs_mask a =
-  (if a.a_read then 1 else 0)
-  lor (if a.a_write then 2 else 0)
-  lor if a.a_cas then 4 else 0
-
-let hash = function
-  | Top -> 0x7f0f0f0f
-  | Fp m ->
-    Label.Map.fold
-      (fun l a acc -> (((acc * 33) lxor Label.hash l) * 33) lxor accs_mask a)
-      m 5381
-
 let accesses fp l =
   match fp with
   | Top -> [ Read; Write; Cas ]

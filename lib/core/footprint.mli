@@ -59,9 +59,6 @@ val subsumes : t -> t -> bool
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-(** Consistent with {!equal}. *)
-
 val accesses : t -> Label.t -> access list
 (** The access kinds the envelope grants at a label (all three under
     [top], none for an untouched label). *)

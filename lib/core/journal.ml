@@ -170,7 +170,7 @@ let w_list w b xs =
 
 (* Crashes travel as their JSON rendering: one serialization shared
    with reports and the CLI, and round-tripped by [Crash.of_json]. *)
-let w_crash b c = w_str b (Crash.to_json c)
+let w_crash b c = w_str b (Json.to_string (Crash.to_json c))
 
 type rd = { rs : string; mutable rp : int }
 
@@ -210,7 +210,9 @@ let r_list r rd =
   List.init n (fun _ -> r rd)
 
 let r_crash rd =
-  match Crash.of_json (r_str rd) with Ok c -> c | Error _ -> raise Corrupt
+  match Result.bind (Json.parse (r_str rd)) Crash.of_json with
+  | Ok c -> c
+  | Error _ -> raise Corrupt
 
 let w_state b (s : state_image) =
   w_int b s.si_outcomes;

@@ -1,11 +1,13 @@
-(** A minimal JSON value type with a hand-rolled parser and printer —
-    the generic sibling of [Crash.of_json]'s fixed-shape parser, grown
-    because the service must read arbitrary client frames.  The engine
-    still carries no JSON library dependency.
+(** The one JSON value type, printer and parser in the tree.  Crashes
+    ({!Crash.to_json}, as the journal stores them), the service's wire
+    frames, the analyzer reports and the bench artifacts all build a
+    [t] and print it with {!to_string}.  Hand-rolled because the engine
+    carries no JSON library dependency.
 
-    Scope: one-line protocol frames.  Integers that fit [int] parse as
-    {!Int}; other numbers as {!Float}.  The printer emits the same
-    escapes [Crash.to_json] does. *)
+    Scope: one-line values.  Integers that fit [int] parse as {!Int};
+    other numbers as {!Float}.  The printer escapes the double quote, the
+    backslash, newline and the other control bytes (as [\u00XX]) and
+    passes every other byte through, so UTF-8 text stays readable. *)
 
 type t =
   | Null

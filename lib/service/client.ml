@@ -102,7 +102,7 @@ let pp_submit_error ppf = function
 let crash_of_frame v =
   match Json.member "crash" v with
   | Some crash -> (
-    match Crash.of_json (Json.to_string crash) with
+    match Crash.of_json crash with
     | Ok c -> c
     | Error e ->
       Crash.make Crash.Protocol_error ("undecodable error frame: " ^ e))

@@ -206,15 +206,9 @@ let ready ~ready:r ~draining ~overload_state =
     ]
 
 let error_frame ?job crash =
-  (* Crash.to_json is already a rendered object; splice it verbatim so
-     the error payload round-trips through Crash.of_json. *)
-  let job_field =
-    match job with
-    | Some id -> Printf.sprintf "\"job\": %d, " id
-    | None -> ""
-  in
-  Printf.sprintf "{\"type\": \"error\", %s\"crash\": %s}" job_field
-    (Crash.to_json crash)
+  let job = match job with Some id -> [ ("job", Json.Int id) ] | None -> [] in
+  frame
+    ((("type", Json.Str "error") :: job) @ [ ("crash", Crash.to_json crash) ])
 
 (* --- Verdict rendering ------------------------------------------------- *)
 
@@ -224,12 +218,7 @@ let error_frame ?job crash =
 let report_json (r : Verify.report) : Json.t =
   let crashes fs =
     Json.Arr
-      (List.map
-         (fun (f : Verify.failure) ->
-           match Json.parse (Crash.to_json f.Verify.crash) with
-           | Ok v -> v
-           | Error _ -> Json.Str (Crash.message f.Verify.crash))
-         fs)
+      (List.map (fun (f : Verify.failure) -> Crash.to_json f.Verify.crash) fs)
   in
   let expl =
     match r.Verify.expl with

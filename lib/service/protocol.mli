@@ -104,8 +104,9 @@ val ready :
     degrades by policy — but the state rides along. *)
 
 val error_frame : ?job:int -> Crash.t -> string
-(** [{"type": "error", "crash": {...}}] with the crash rendered by
-    [Crash.to_json], so clients round-trip it through [Crash.of_json].
+(** [{"type": "error", "crash": {...}}] with the crash as
+    [Crash.to_json] renders it; clients read it back with
+    [Crash.of_json].
     [job] is set when the error terminates a specific submission
     (engine exceptions) rather than a malformed frame. *)
 

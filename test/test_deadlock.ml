@@ -365,6 +365,52 @@ let test_cli_exit_codes () =
     Sys.remove garbage
   end
 
+(* The analyzer's JSON is a contract: CI diffs [analyze --json],
+   [analyze --deadlock --json] and [analyze --independence --json]
+   against committed baselines, and this runs the same three diffs
+   under [dune runtest].  The baselines are dune deps, so they sit at
+   ../ci next to the test's cwd; from the workspace root they are
+   under ci/. *)
+let baseline name =
+  List.find_opt Sys.file_exists [ "../ci/" ^ name; "ci/" ^ name ]
+
+(* Where [want] and [got] first differ, with up to 60 bytes of each
+   from there: the baselines run to 100 KiB, too long to print whole. *)
+let first_difference want got =
+  let n = min (String.length want) (String.length got) in
+  let rec go i = if i < n && want.[i] = got.[i] then go (i + 1) else i in
+  let i = go 0 in
+  let from s = String.sub s i (min 60 (String.length s - i)) in
+  (i, from want, from got)
+
+let cli_stdout cli args =
+  let ic = Unix.open_process_in (Fmt.str "%s %s" cli args) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "%s %s did not exit 0" cli args
+
+let test_cli_json_baselines () =
+  match cli with
+  | None -> Alcotest.skip () (* CLI not built in this context *)
+  | Some cli ->
+    List.iter
+      (fun (args, file) ->
+        match baseline file with
+        | None -> Alcotest.failf "baseline %s not found" file
+        | Some path ->
+          let want = In_channel.with_open_bin path In_channel.input_all in
+          let got = cli_stdout cli ("analyze " ^ args) in
+          if got <> want then
+            let i, w, g = first_difference want got in
+            Alcotest.failf "analyze %s drifts from %s at byte %d:@.want %S@.got  %S"
+              args file i w g)
+      [
+        ("--json", "analyze-baseline.json");
+        ("--deadlock --json", "analyze-baseline.json");
+        ("--independence --json", "independence-baseline.json");
+      ]
+
 let suite =
   [
     Alcotest.test_case "lock-order graph machinery" `Quick
@@ -387,4 +433,6 @@ let suite =
       test_differential_j4;
     prop_certified_order_consistent;
     Alcotest.test_case "CLI exit-code taxonomy" `Quick test_cli_exit_codes;
+    Alcotest.test_case "CLI JSON matches the CI baselines" `Quick
+      test_cli_json_baselines;
   ]

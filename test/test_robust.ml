@@ -96,7 +96,7 @@ let test_crash_values () =
   check "equal ignores traces" true (Crash.equal a b);
   check "equal respects kind" false
     (Crash.equal a (Crash.make Crash.Postcondition "m"));
-  let j = Fmt.str "%s" (Crash.to_json a) in
+  let j = Json.to_string (Crash.to_json a) in
   check "json carries kind" true
     (contains j "\"unsafe-action\"");
   check "json carries schedule" true
@@ -476,15 +476,16 @@ let prop_crash_json_round_trip =
     (QCheck2.Test.make ~count:200 ~name:"of_json inverts to_json" gen
        (fun (kind, msg, trace) ->
          let c = Crash.make ~trace kind msg in
-         match Crash.of_json (Crash.to_json c) with
+         let s = Json.to_string (Crash.to_json c) in
+         match Result.bind (Json.parse s) Crash.of_json with
          | Ok c' -> Crash.equal c c' && Crash.trace c' = Crash.trace c
-         | Error e ->
-           QCheck2.Test.fail_reportf "of_json failed on %s: %s"
-             (Crash.to_json c) e))
+         | Error e -> QCheck2.Test.fail_reportf "of_json failed on %s: %s" s e))
 
 let test_crash_json_errors () =
   let bad s =
-    match Crash.of_json s with Ok _ -> false | Error _ -> true
+    match Result.bind (Json.parse s) Crash.of_json with
+    | Ok _ -> false
+    | Error _ -> true
   in
   check "empty input" true (bad "");
   check "not an object" true (bad "[1,2]");
@@ -496,8 +497,10 @@ let test_crash_json_errors () =
   check "bad escape" true (bad {|{"kind": "unsafe-action", "msg": "\q"}|});
   (* unknown keys are skipped, not errors *)
   match
-    Crash.of_json
-      {|{"kind": "unsafe-action", "extra": {"deep": [1, "x"]}, "msg": "m", "schedule": ["a"]}|}
+    Result.bind
+      (Json.parse
+         {|{"kind": "unsafe-action", "extra": {"deep": [1, "x"]}, "msg": "m", "schedule": ["a"]}|})
+      Crash.of_json
   with
   | Ok c ->
     check "unknown keys skipped" true
@@ -505,6 +508,47 @@ let test_crash_json_errors () =
       && Crash.message c = "m"
       && Crash.trace c = [ "a" ])
   | Error e -> Alcotest.failf "unknown keys should be skipped: %s" e
+
+(* The bytes a crash leaves the process as, pinned: the journal stores
+   [Json.to_string (Crash.to_json c)] and the daemon's error frame
+   carries the same object, so a drift in either breaks resuming old
+   journals or decoding old frames, which the round-trip property above
+   cannot see.  The crash covers every escape class (quote, backslash,
+   newline, tab, a 0x01 byte) and multibyte UTF-8, which passes through
+   unescaped. *)
+let pinned_crash =
+  Crash.make
+    ~trace:[ "t1: cas(x, \"a\")\t\xe2\x9c\x93"; "env\\step\n\x01 na\xc3\xafve" ]
+    Crash.Postcondition
+    "say \"hi\" \\path\nnext\tcol\x01ctl caf\xc3\xa9 \xe2\x86\x92 done"
+
+let pinned_crash_json =
+  {|{"kind": "postcondition", "msg": "say \"hi\" \\path\nnext\u0009col\u0001ctl café → done", "schedule": ["t1: cas(x, \"a\")\u0009✓", "env\\step\n\u0001 naïve"]}|}
+
+let pinned_error_frame =
+  {|{"type": "error", "job": 3, "crash": {"kind": "postcondition", "msg": "say \"hi\" \\path\nnext\u0009col\u0001ctl café → done", "schedule": ["t1: cas(x, \"a\")\u0009✓", "env\\step\n\u0001 naïve"]}}|}
+
+let test_crash_json_bytes () =
+  Alcotest.(check string)
+    "journal bytes" pinned_crash_json
+    (Json.to_string (Crash.to_json pinned_crash));
+  Alcotest.(check string)
+    "error frame bytes" pinned_error_frame
+    (Fcsl_service.Protocol.error_frame ~job:3 pinned_crash);
+  let decodes what s crash_of =
+    match Result.bind (Json.parse s) crash_of with
+    | Ok c ->
+      check (what ^ " decodes to the same crash") true
+        (Crash.kind c = Crash.kind pinned_crash
+        && Crash.message c = Crash.message pinned_crash
+        && Crash.trace c = Crash.trace pinned_crash)
+    | Error e -> Alcotest.failf "%s does not decode: %s" what e
+  in
+  decodes "journal bytes" pinned_crash_json Crash.of_json;
+  decodes "error frame" pinned_error_frame (fun v ->
+      match Json.member "crash" v with
+      | Some c -> Crash.of_json c
+      | None -> Error "no crash member")
 
 (* --- Chaos (cheap subset) -------------------------------------------- *)
 
@@ -548,6 +592,8 @@ let suite =
     prop_crash_json_round_trip;
     Alcotest.test_case "crash json: malformed inputs are errors" `Quick
       test_crash_json_errors;
+    Alcotest.test_case "crash json: journal and wire bytes pinned" `Quick
+      test_crash_json_bytes;
     Alcotest.test_case "chaos: cheap registry row survives all modes" `Quick
       test_chaos_subset;
     Alcotest.test_case "ladder: journal shows exhaustive then sampled" `Quick

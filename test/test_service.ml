@@ -9,7 +9,6 @@
    in-flight ledger jobs and of the verdict table. *)
 
 open Fcsl_core
-module Json = Fcsl_service.Json
 module Protocol = Fcsl_service.Protocol
 module Server = Fcsl_service.Server
 module Client = Fcsl_service.Client
