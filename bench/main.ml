@@ -340,12 +340,12 @@ let verdict_summary reports =
         r.Verify.complete ))
     reports
 
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
 let engine_comparison ~jobs () : engine_row list =
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let sweep ~dedup ~jobs =
     Verify.with_engine ~dedup ~jobs (fun () ->
         List.map
@@ -384,141 +384,90 @@ let pp_engine_rows ppf rows =
     (total (fun r -> r.er_dedup) rows)
     (total (fun r -> r.er_dedup_par) rows)
 
-(* --- Robustness: budget-enforcement overhead (docs/ROBUSTNESS.md). ---
+(* --- Overheads: budget enforcement and journaling (docs/ROBUSTNESS.md). ---
 
-   Every Table 1 verification unbudgeted vs under an armed-but-untripped
-   budget (ceilings far above any real consumption), so every explored
-   configuration pays the cooperative polling cost and nothing ever
-   trips.  Verdicts — including the tier — must be bit-identical; the
-   wall-clock overhead is the price of resilience, budgeted at < 5%. *)
+   Every Table 1 verification plain vs with one mechanism armed, each
+   budgeted at < 5%:
+   - a budget whose ceilings are far above any real consumption, so
+     every explored configuration pays the cooperative polling cost and
+     nothing ever trips;
+   - a write-ahead journal under the default group-commit policy
+     (Interval 0.05), opened FRESH for every repetition (a reused one
+     would replay completed units and fake a speedup).
+   Verdicts, including the tier, must be identical. *)
 
-type robust_row = {
-  rb_name : string;
-  rb_unbudgeted : float;
-  rb_armed : float;
-  rb_verdicts_equal : bool;
+type overhead_row = {
+  ov_name : string;
+  ov_plain : float;
+  ov_armed : float;
+  ov_verdicts_equal : bool;
 }
 
 (* Percent slowdown of [x] over [base]; NaN when [base] is zero. *)
 let overhead_pct ~base x =
   if base > 0. then (x -. base) /. base *. 100. else nan
 
-let armed_untripped_limits () =
-  Budget.limits ~deadline_s:3600.0 ~max_states:max_int
-    ~max_major_words:max_int ()
+(* best of three: the overhead being measured is well under the noise
+   floor of a single wall-clock sample *)
+let best3 f =
+  let r, t1 = timed f in
+  let _, t2 = timed f in
+  let _, t3 = timed f in
+  (r, Float.min t1 (Float.min t2 t3))
 
-let robust_comparison () : robust_row list =
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* best of three: the overhead being measured is well under the
-     noise floor of a single wall-clock sample *)
-  let best3 f =
-    let r, t1 = timed f in
-    let _, t2 = timed f in
-    let _, t3 = timed f in
-    (r, Float.min t1 (Float.min t2 t3))
-  in
+(* [arm run] runs one verification with the mechanism armed; every
+   repetition arms it afresh. *)
+let overhead_comparison arm : overhead_row list =
   List.map
     (fun (c : Registry.case) ->
-      let rb, tb = best3 c.Registry.c_verify in
-      let ra, ta =
-        Verify.with_engine ~budget:(armed_untripped_limits ()) (fun () ->
-            best3 c.Registry.c_verify)
-      in
+      let rp, tp = best3 c.Registry.c_verify in
+      let ra, ta = best3 (fun () -> arm c.Registry.c_verify) in
       {
-        rb_name = c.Registry.c_name;
-        rb_unbudgeted = tb;
-        rb_armed = ta;
-        rb_verdicts_equal = verdict_summary rb = verdict_summary ra;
+        ov_name = c.Registry.c_name;
+        ov_plain = tp;
+        ov_armed = ta;
+        ov_verdicts_equal = verdict_summary rp = verdict_summary ra;
       })
     Registry.all
 
-let pp_robust_rows ppf rows =
-  Fmt.pf ppf "%-14s %11s %9s %9s %8s@." "Program" "unbudgeted" "armed"
-    "overhead" "verdicts";
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "%-14s %10.3fs %8.3fs %8.1f%% %8s@." r.rb_name r.rb_unbudgeted
-        r.rb_armed
-        (overhead_pct ~base:r.rb_unbudgeted r.rb_armed)
-        (if r.rb_verdicts_equal then "equal" else "DIFFER"))
-    rows;
-  let tb = total (fun r -> r.rb_unbudgeted) rows in
-  let ta = total (fun r -> r.rb_armed) rows in
-  Fmt.pf ppf "%-14s %10.3fs %8.3fs %8.1f%%@." "TOTAL" tb ta
-    (overhead_pct ~base:tb ta)
+let budgeted run =
+  Verify.with_engine
+    ~budget:
+      (Budget.limits ~deadline_s:3600.0 ~max_states:max_int
+         ~max_major_words:max_int ())
+    run
 
-(* --- Durability: journal-armed overhead (docs/ROBUSTNESS.md). ---
-
-   Every Table 1 verification unjournaled vs journaling to a
-   write-ahead journal under the default group-commit policy
-   (Interval 0.05).  Every repetition opens a FRESH journal directory
-   — a reused one would replay completed units and fake a speedup —
-   and verdicts (including the tier) must be identical.  The overhead
-   is the price of surviving kill -9, budgeted at < 5%. *)
-
-type journal_row = {
-  jr_name : string;
-  jr_bare : float;
-  jr_journaled : float;
-  jr_verdicts_equal : bool;
-}
-
-let journal_comparison () : journal_row list =
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let fresh_dir =
-    let n = ref 0 in
-    fun () ->
-      incr n;
+let journaled =
+  let n = ref 0 in
+  fun run ->
+    incr n;
+    let dir =
       Filename.concat
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "fcsl-bench-journal-%d-%d" (Unix.getpid ()) !n)
-  in
-  let journaled f () =
-    let j = Journal.openj ~fsync:(Journal.Interval 0.05) (fresh_dir ()) in
+    in
+    let j = Journal.openj ~fsync:(Journal.Interval 0.05) dir in
     Fun.protect
       ~finally:(fun () -> Journal.close j)
-      (fun () -> Verify.with_engine ~journal:(Some j) f)
-  in
-  let best3 f =
-    let r, t1 = timed f in
-    let _, t2 = timed f in
-    let _, t3 = timed f in
-    (r, Float.min t1 (Float.min t2 t3))
-  in
-  List.map
-    (fun (c : Registry.case) ->
-      let rb, tb = best3 c.Registry.c_verify in
-      let rj, tj = best3 (journaled c.Registry.c_verify) in
-      {
-        jr_name = c.Registry.c_name;
-        jr_bare = tb;
-        jr_journaled = tj;
-        jr_verdicts_equal = verdict_summary rb = verdict_summary rj;
-      })
-    Registry.all
+      (fun () -> Verify.with_engine ~journal:(Some j) run)
 
-let pp_journal_rows ppf rows =
-  Fmt.pf ppf "%-14s %11s %10s %9s %8s@." "Program" "unjournaled" "journaled"
+(* [plain] and [armed] head the two time columns; the armed one is at
+   least 9 wide. *)
+let pp_overhead_rows ~plain ~armed ppf rows =
+  let w = max 8 (String.length armed) in
+  Fmt.pf ppf "%-14s %11s %*s %9s %8s@." "Program" plain (w + 1) armed
     "overhead" "verdicts";
   List.iter
     (fun r ->
-      Fmt.pf ppf "%-14s %10.3fs %9.3fs %8.1f%% %8s@." r.jr_name r.jr_bare
-        r.jr_journaled
-        (overhead_pct ~base:r.jr_bare r.jr_journaled)
-        (if r.jr_verdicts_equal then "equal" else "DIFFER"))
+      Fmt.pf ppf "%-14s %10.3fs %*.3fs %8.1f%% %8s@." r.ov_name r.ov_plain w
+        r.ov_armed
+        (overhead_pct ~base:r.ov_plain r.ov_armed)
+        (if r.ov_verdicts_equal then "equal" else "DIFFER"))
     rows;
-  let tb = total (fun r -> r.jr_bare) rows in
-  let tj = total (fun r -> r.jr_journaled) rows in
-  Fmt.pf ppf "%-14s %10.3fs %9.3fs %8.1f%%@." "TOTAL" tb tj
-    (overhead_pct ~base:tb tj)
+  let tp = total (fun r -> r.ov_plain) rows in
+  let ta = total (fun r -> r.ov_armed) rows in
+  Fmt.pf ppf "%-14s %10.3fs %*.3fs %8.1f%%@." "TOTAL" tp w ta
+    (overhead_pct ~base:tp ta)
 
 (* --- The BENCH_*.json records: one [Json.t] each, printed once. --- *)
 
@@ -570,18 +519,18 @@ let write_bench_json ~path ~jobs (bench_rows : (string * float * float) list)
    the key names differ. *)
 
 let write_overhead_json ~path ~section ~plain ~armed ?(extra = []) rows =
-  let case (name, tp, ta, equal) =
+  let case r =
     Json.Obj
       [
-        ("name", Json.Str name);
-        (plain, num tp);
-        (armed, num ta);
-        ("overhead_pct", num (overhead_pct ~base:tp ta));
-        ("verdicts_equal", Json.Bool equal);
+        ("name", Json.Str r.ov_name);
+        (plain, num r.ov_plain);
+        (armed, num r.ov_armed);
+        ("overhead_pct", num (overhead_pct ~base:r.ov_plain r.ov_armed));
+        ("verdicts_equal", Json.Bool r.ov_verdicts_equal);
       ]
   in
-  let tp = total (fun (_, t, _, _) -> t) rows in
-  let ta = total (fun (_, _, t, _) -> t) rows in
+  let tp = total (fun r -> r.ov_plain) rows in
+  let ta = total (fun r -> r.ov_armed) rows in
   write_json path
     (Json.Obj
        [
@@ -595,21 +544,6 @@ let write_overhead_json ~path ~section ~plain ~armed ?(extra = []) rows =
                  ("total_overhead_pct", num (overhead_pct ~base:tp ta));
                ]) );
        ])
-
-let write_robust_json ~path (rows : robust_row list) =
-  write_overhead_json ~path ~section:"budget_overhead" ~plain:"unbudgeted_s"
-    ~armed:"armed_s"
-    (List.map
-       (fun r -> (r.rb_name, r.rb_unbudgeted, r.rb_armed, r.rb_verdicts_equal))
-       rows)
-
-let write_journal_json ~path (rows : journal_row list) =
-  write_overhead_json ~path ~section:"journal_overhead"
-    ~plain:"unjournaled_s" ~armed:"journaled_s"
-    ~extra:[ ("fsync_policy", Json.Str "interval:0.05") ]
-    (List.map
-       (fun r -> (r.jr_name, r.jr_bare, r.jr_journaled, r.jr_verdicts_equal))
-       rows)
 
 (* --- The regenerated evaluation artifacts. --- *)
 
@@ -682,16 +616,22 @@ let print_figure2 () =
 
 let run_robust () =
   Fmt.pr "== Budget-enforcement overhead: armed but untripped ==@.";
-  let rows = robust_comparison () in
-  Fmt.pr "%a@." pp_robust_rows rows;
-  write_robust_json ~path:"BENCH_robust.json" rows;
+  let rows = overhead_comparison budgeted in
+  Fmt.pr "%a@." (pp_overhead_rows ~plain:"unbudgeted" ~armed:"armed") rows;
+  write_overhead_json ~path:"BENCH_robust.json" ~section:"budget_overhead"
+    ~plain:"unbudgeted_s" ~armed:"armed_s" rows;
   Fmt.pr "wrote BENCH_robust.json@.@."
 
 let run_journal () =
   Fmt.pr "== Journal-armed overhead: write-ahead journaling on vs off ==@.";
-  let rows = journal_comparison () in
-  Fmt.pr "%a@." pp_journal_rows rows;
-  write_journal_json ~path:"BENCH_journal.json" rows;
+  let rows = overhead_comparison journaled in
+  Fmt.pr "%a@."
+    (pp_overhead_rows ~plain:"unjournaled" ~armed:"journaled")
+    rows;
+  write_overhead_json ~path:"BENCH_journal.json" ~section:"journal_overhead"
+    ~plain:"unjournaled_s" ~armed:"journaled_s"
+    ~extra:[ ("fsync_policy", Json.Str "interval:0.05") ]
+    rows;
   Fmt.pr "wrote BENCH_journal.json@.@."
 
 (* --- BENCH_serve.json: the service memoization record. --- *)

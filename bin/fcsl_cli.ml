@@ -312,15 +312,6 @@ let serve_cmd =
              (memo-served submissions are never shed — they cost no \
              exploration)")
   in
-  let idle_exit_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "idle-exit" ] ~docv:"SECS"
-          ~doc:
-            "Drain and exit after $(docv) seconds with no connections \
-             and no queued work (CI hygiene: a forgotten daemon \
-             reaps itself)")
-  in
   let job_delay_arg =
     Arg.(
       value & opt float 0.
@@ -400,7 +391,7 @@ let serve_cmd =
       & info [ "burst" ] ~docv:"N"
           ~doc:"Token-bucket burst capacity (with $(b,--rate))")
   in
-  let run socket journal_dir resume fsync queue jobs idle_exit job_delay
+  let run socket journal_dir resume fsync queue jobs job_delay
       supervise restart_limit restart_window restart_backoff pidfile
       overload_high overload_low rate burst =
     let fsync =
@@ -415,8 +406,7 @@ let serve_cmd =
     in
     let mkcfg ~resume =
       Fcsl_service.Server.config ~resume ?fsync ~queue_bound:queue ~jobs
-        ?idle_exit_s:idle_exit ~job_delay_s:job_delay ?overload_high
-        ?overload_low
+        ~job_delay_s:job_delay ?overload_high ?overload_low
         ?rate:(Option.map (fun r -> (r, burst)) rate)
         ~socket ~journal_dir:journal_dir ()
     in
@@ -488,7 +478,7 @@ let serve_cmd =
           SIGTERM drains gracefully; see docs/SERVICE.md")
     Term.(
       const run $ socket_arg $ journal_req $ resume_flag $ fsync_arg
-      $ queue_arg $ jobs_arg $ idle_exit_arg $ job_delay_arg
+      $ queue_arg $ jobs_arg $ job_delay_arg
       $ supervise_flag $ restart_limit_arg $ restart_window_arg
       $ restart_backoff_arg $ pidfile_arg $ overload_high_arg
       $ overload_low_arg $ rate_arg $ burst_arg)

@@ -47,13 +47,6 @@ let fsync_policy_of_string s =
     | _ -> Error (Fmt.str "bad fsync interval %S" s))
   | _ -> Error (Fmt.str "unknown fsync policy %S (always|interval[:SECS]|never)" s)
 
-type budget_image = {
-  bi_elapsed_s : float;
-  bi_states : int;
-  bi_major_words : int;
-  bi_tripped : string option;
-}
-
 type state_image = {
   si_outcomes : int;
   si_diverged : int;
@@ -74,7 +67,7 @@ type report_image = {
   ri_states : int; (* configurations explored *)
   ri_failures : (int * Crash.t) list;
   ri_worker_crashes : (int * Crash.t) list;
-  ri_budget : budget_image option;
+  ri_budget : Budget.stats option;
 }
 
 type record =
@@ -229,18 +222,18 @@ let r_state rd =
   let si_failures = r_list r_crash rd in
   { si_outcomes; si_diverged; si_complete; si_states; si_failures }
 
-let w_budget b (s : budget_image) =
-  w_float b s.bi_elapsed_s;
-  w_int b s.bi_states;
-  w_int b s.bi_major_words;
-  w_opt w_str b s.bi_tripped
+let w_budget b (s : Budget.stats) =
+  w_float b s.st_elapsed_s;
+  w_int b s.st_states;
+  w_int b s.st_major_words;
+  w_opt w_str b s.st_tripped
 
 let r_budget rd =
-  let bi_elapsed_s = r_float rd in
-  let bi_states = r_int rd in
-  let bi_major_words = r_int rd in
-  let bi_tripped = r_opt r_str rd in
-  { bi_elapsed_s; bi_states; bi_major_words; bi_tripped }
+  let st_elapsed_s = r_float rd in
+  let st_states = r_int rd in
+  let st_major_words = r_int rd in
+  let st_tripped = r_opt r_str rd in
+  { Budget.st_elapsed_s; st_states; st_major_words; st_tripped }
 
 let w_ixcrash b (i, c) =
   w_int b i;
@@ -852,7 +845,7 @@ type job = {
   j_units : int;
   j_states : int;
   j_failures : int;
-  j_budget : budget_image option;
+  j_budget : Budget.stats option;
 }
 
 let jobs_of_records records : job list =
@@ -882,7 +875,7 @@ let jobs_of_records records : job list =
         let failed = ri.ri_failures <> [] || ri.ri_worker_crashes <> [] in
         let tripped =
           match ri.ri_budget with
-          | Some b -> b.bi_tripped <> None
+          | Some b -> b.Budget.st_tripped <> None
           | None -> false
         in
         {
@@ -928,8 +921,11 @@ let pp_job ppf j =
     (if j.j_failures = 1 then "" else "s");
   match j.j_budget with
   | Some b ->
-    Fmt.pf ppf "  [%.2fs, %d states%s]" b.bi_elapsed_s b.bi_states
-      (match b.bi_tripped with Some r -> ", tripped: " ^ r | None -> "")
+    Fmt.pf ppf "  [%.2fs, %d states%s]" b.Budget.st_elapsed_s
+      b.Budget.st_states
+      (match b.Budget.st_tripped with
+      | Some r -> ", tripped: " ^ r
+      | None -> "")
   | None -> ()
 
 let pp_jobs ppf jobs =

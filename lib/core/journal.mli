@@ -43,14 +43,6 @@ val fsync_policy_of_string : string -> (fsync_policy, string) result
 
 (** {1 Records} *)
 
-type budget_image = {
-  bi_elapsed_s : float;
-  bi_states : int;
-  bi_major_words : int;
-  bi_tripped : string option;
-}
-(** A serializable mirror of [Budget.stats]. *)
-
 type state_image = {
   si_outcomes : int;
   si_diverged : int;
@@ -59,7 +51,9 @@ type state_image = {
   si_failures : Crash.t list;  (** failures found from this state *)
 }
 (** What one verification unit (one initial state under one tier)
-    concluded — enough to replay its [state_result] exactly. *)
+    concluded — [Verify]'s own record of a unit, journaled as is and
+    replayed exactly; the failures are re-anchored to the unit's initial
+    state by the merge. *)
 
 type report_image = {
   ri_spec : string;
@@ -77,10 +71,10 @@ type report_image = {
       (** (eligible-state index, crash) — indices re-anchor the crash
           to its initial state on resume *)
   ri_worker_crashes : (int * Crash.t) list;
-  ri_budget : budget_image option;
+  ri_budget : Budget.stats option;  (** consumed budget, when one was armed *)
 }
-(** A completed spec verdict, the unit [Verify.check_triple] replays
-    wholesale. *)
+(** A completed spec verdict, the unit [Verify.check_triple] and
+    [Verify.check_triple_random] replay wholesale. *)
 
 type record =
   | Meta of { version : int; created_s : float }
@@ -242,7 +236,7 @@ type job = {
   j_units : int;  (** durable verification units recorded *)
   j_states : int;  (** last journaled explored-configuration count *)
   j_failures : int;
-  j_budget : budget_image option;
+  j_budget : Budget.stats option;
 }
 
 val jobs_of_records : record list -> job list
@@ -250,6 +244,11 @@ val jobs_of_records : record list -> job list
     (verdict journaled, ok), [`Degraded] (verdict journaled, budget
     tripped without a failure), [`Failed] (verdict journaled with
     failures), [`In_flight] (begun, not concluded). *)
+
+val status_name : [ `Complete | `Degraded | `Failed | `In_flight ] -> string
+(** ["complete"], ["degraded"], ["FAILED"], ["in-flight"]: the status
+    column of {!pp_job} and the [status] field of the service's jobs
+    rendering. *)
 
 val pp_job : Format.formatter -> job -> unit
 val pp_jobs : Format.formatter -> job list -> unit

@@ -217,44 +217,6 @@ let pp_report ppf r =
       (if r.complete then "" else ", exploration capped")
       tier_note seed_note
 
-(* [check_triple ~world ~init prog spec] explores every schedule of
-   [prog] (with environment interference at all world labels unless
-   [interference] is [false]) from every coherent initial state in
-   [init] satisfying the precondition.
-
-   Initial states are independent explorations, so with [jobs > 1] they
-   are fanned out over a supervised domain pool and the per-state
-   results merged in input order.  The merge reproduces the sequential
-   accounting exactly: states after the first one that produced failures
-   are not counted (the sequential loop skips them once [failures] is
-   non-empty), so the report is identical whatever [jobs] is — parallel
-   runs merely waste the work done past the first failing state.
-
-   Supervision is per initial state: an exploration that raises is
-   retried once (absorbing transient faults — exploration is pure) and
-   then quarantined into [worker_crashes] instead of destroying its
-   siblings' verdicts. *)
-
-type state_result = {
-  sr_outcomes : int;
-  sr_diverged : int;
-  sr_complete : bool;
-  sr_states : int;
-  sr_failures : failure list; (* capped at [max_failures], in order *)
-  sr_expl : expl_stats option; (* not journaled; replayed units get None *)
-}
-
-type core = {
-  c_initial_states : int;
-  c_outcomes : int;
-  c_diverged : int;
-  c_complete : bool;
-  c_states : int;
-  c_failures : failure list;
-  c_worker_crashes : failure list;
-  c_expl : expl_stats option;
-}
-
 let crash_of_pool_error (e : Pool.error) =
   let c = Crash.of_exn e.Pool.e_exn in
   Crash.make (Crash.kind c)
@@ -268,11 +230,11 @@ let crash_of_pool_error (e : Pool.error) =
 (* --- Journal integration ---------------------------------------------
 
    Durability granularity is the verification unit: one eligible initial
-   state under one ladder tier ([Journal.State_done], keyed by its index
-   in the eligible list) plus the whole spec verdict
-   ([Journal.Spec_done]).  Resume replays journaled units and
-   re-explores the rest; exploration is deterministic, so the assembled
-   report is the uninterrupted run's.
+   state under one ladder tier (a [State_done] record, keyed by its
+   index in the eligible list) plus the whole spec verdict (a
+   [Spec_done] record).  Resume replays journaled units and re-explores
+   the rest; exploration is deterministic, so the merged report is the
+   uninterrupted run's.
 
    A journaled unit is only replayable under the engine parameters it
    was computed with, captured as a digest string.  [dedup] and [jobs]
@@ -304,42 +266,6 @@ let params_digest ~mode ~fuel ~max_outcomes ~trials ~interference ~env_budget
     lim.Budget.l_max_states
     (List.length eligible) init_digest
 
-let stats_image (s : Budget.stats) : Journal.budget_image =
-  {
-    Journal.bi_elapsed_s = s.Budget.st_elapsed_s;
-    bi_states = s.Budget.st_states;
-    bi_major_words = s.Budget.st_major_words;
-    bi_tripped = s.Budget.st_tripped;
-  }
-
-let stats_of_image (b : Journal.budget_image) : Budget.stats =
-  {
-    Budget.st_elapsed_s = b.Journal.bi_elapsed_s;
-    st_states = b.Journal.bi_states;
-    st_major_words = b.Journal.bi_major_words;
-    st_tripped = b.Journal.bi_tripped;
-  }
-
-let sr_image (sr : state_result) : Journal.state_image =
-  {
-    Journal.si_outcomes = sr.sr_outcomes;
-    si_diverged = sr.sr_diverged;
-    si_complete = sr.sr_complete;
-    si_states = sr.sr_states;
-    si_failures = List.map (fun f -> f.crash) sr.sr_failures;
-  }
-
-let sr_of_image (st : State.t) (si : Journal.state_image) : state_result =
-  {
-    sr_outcomes = si.Journal.si_outcomes;
-    sr_diverged = si.Journal.si_diverged;
-    sr_complete = si.Journal.si_complete;
-    sr_states = si.Journal.si_states;
-    sr_failures =
-      List.map (fun crash -> { initial = st; crash }) si.Journal.si_failures;
-    sr_expl = None;
-  }
-
 (* Failures are serialized with the index of their initial state in the
    eligible list (the states themselves are closures over heaps and not
    serializable); resume re-anchors them by index.  The digest pins the
@@ -367,7 +293,7 @@ let image_of_report ~params ~eligible (r : report) : Journal.report_image =
     ri_states = r.states;
     ri_failures = failure_indices ~eligible r.failures;
     ri_worker_crashes = failure_indices ~eligible r.worker_crashes;
-    ri_budget = Option.map stats_image r.budget;
+    ri_budget = r.budget;
   }
 
 let report_of_image ~(eligible : State.t list) (ri : Journal.report_image) :
@@ -396,48 +322,69 @@ let report_of_image ~(eligible : State.t list) (ri : Journal.report_image) :
         states = ri.Journal.ri_states;
         failures;
         worker_crashes;
-        budget = Option.map stats_of_image ri.Journal.ri_budget;
+        budget = ri.Journal.ri_budget;
         expl = None;
       }
   | _ -> None
 
-(* Replay a journaled unit, or compute it and journal the result.
-   [keep] decides whether the computed result is durable: a unit cut
-   short by a budget trip is timing-dependent (a resumed process with a
-   fresh budget would legitimately explore further), so only results the
-   budget didn't interfere with are journaled.  Runs on pool worker
-   domains; the journal handle is domain-safe. *)
-let unit_cached (jctx : jctx option) ~index ~(keep : state_result -> bool)
-    (st : State.t) (compute : unit -> state_result) : state_result =
+(* One verification unit: replay it from the journal, or compute it and
+   journal the result.  A unit's result is the {!Journal.state_image} it
+   journals — its failures are bare crashes, which the caller re-anchors
+   to the unit's initial state — plus its exploration counters, which
+   are never journaled (a replayed unit has none).  [keep] decides
+   whether a computed result is durable: a unit cut short by a budget
+   trip is timing-dependent (a resumed process with a fresh budget would
+   legitimately explore further), so only results the budget didn't
+   interfere with are journaled.  Runs on pool worker domains; the
+   journal handle is domain-safe. *)
+let unit_cached (jctx : jctx option) ~index
+    ~(keep : Journal.state_image -> bool)
+    (compute : unit -> Journal.state_image * expl_stats option) =
   match jctx with
   | None -> compute ()
   | Some { jc_j; jc_spec; jc_tier } -> (
     match
       Journal.find_state_done jc_j ~spec:jc_spec ~tier:jc_tier ~index
     with
-    | Some si -> sr_of_image st si
+    | Some si -> (si, None)
     | None ->
-      let sr = compute () in
-      if keep sr then
+      let ((si, _) as u) = compute () in
+      if keep si then
         Journal.append jc_j
           (Journal.State_done
-             { spec = jc_spec; tier = jc_tier; index; state = sr_image sr });
-      sr)
+             { spec = jc_spec; tier = jc_tier; index; state = si });
+      u)
 
-(* One ladder attempt: a full exploration of every eligible state under
-   an optional armed budget. *)
+let jwriter_of =
+  Option.map (fun { jc_j; jc_spec; jc_tier } ->
+      Journal.writer jc_j ~spec:jc_spec ~tier:jc_tier ())
+
+(* One exhaustive attempt explores every schedule of [prog] (with
+   environment interference at all world labels unless [interference]
+   is [false]) from every eligible initial state, under an optional
+   armed budget.
+
+   Initial states are independent explorations, so with [jobs > 1] they
+   are fanned out over a supervised domain pool and the per-state
+   results merged in input order.  The merge reproduces the sequential
+   accounting exactly: states after the first one that produced failures
+   are not counted (the sequential loop skips them once [failures] is
+   non-empty), so the report is identical whatever [jobs] is — parallel
+   runs merely waste the work done past the first failing state.
+
+   Supervision is per initial state: an exploration that raises is
+   retried once (absorbing transient faults — exploration is pure) and
+   then quarantined into [worker_crashes] instead of destroying its
+   siblings' verdicts.
+
+   The report's [budget] is [None]: the ladder sets it. *)
 let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
     ~max_failures ~dedup ~jobs ~(budget : Budget.t option)
-    ?(jctx : jctx option) ~(world : World.t) ~(eligible : State.t list)
-    (prog : 'a Prog.t) (spec : 'a Spec.t) : core =
+    ~(jctx : jctx option) ~(world : World.t) ~(eligible : State.t list)
+    (prog : 'a Prog.t) (spec : 'a Spec.t) : report =
   let interfere = if interference then World.labels world else [] in
-  let jwriter =
-    Option.map
-      (fun { jc_j; jc_spec; jc_tier } ->
-        Journal.writer jc_j ~spec:jc_spec ~tier:jc_tier ())
-      jctx
-  in
-  let explore_state st : state_result =
+  let jwriter = jwriter_of jctx in
+  let explore_state st () =
     let genv, mine = Sched.genv_of_state ~interfere world st in
     (* One stats record per initial state: explorations fan out over
        pool domains, and each run mutates its own. *)
@@ -451,7 +398,7 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
     let failures = ref [] in
     let add_failure crash =
       if List.length !failures < max_failures then
-        failures := { initial = st; crash } :: !failures
+        failures := crash :: !failures
     in
     List.iter
       (fun out ->
@@ -466,23 +413,23 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
         | Sched.Crashed c -> add_failure c
         | Sched.Diverged -> incr diverged)
       outs;
-    {
-      sr_outcomes = !outcomes;
-      sr_diverged = !diverged;
-      sr_complete = compl;
-      sr_states = stats.Sched.es_configs;
-      sr_failures = List.rev !failures;
-      sr_expl = Some (expl_of_sched stats);
-    }
+    ( {
+        Journal.si_outcomes = !outcomes;
+        si_diverged = !diverged;
+        si_complete = compl;
+        si_states = stats.Sched.es_configs;
+        si_failures = List.rev !failures;
+      },
+      Some (expl_of_sched stats) )
   in
   (* Unbudgeted results are deterministic whatever the outcome (even a
      [max_outcomes] cut replays identically); under a budget, anything
      computed while (or after) the budget tripped is not durable. *)
-  let keep _sr =
+  let keep _ =
     match budget with None -> true | Some b -> Budget.tripped b = None
   in
-  let check_state (index, st) : state_result =
-    unit_cached jctx ~index ~keep st (fun () -> explore_state st)
+  let check_state (index, st) =
+    unit_cached jctx ~index ~keep (explore_state st)
   in
   let indexed = List.mapi (fun i st -> (i, st)) eligible in
   let results = Pool.map_result ~jobs ~retries:1 check_state indexed in
@@ -498,14 +445,15 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
     (fun (_, st) r ->
       if !failures = [] && !worker_crashes = [] then
         match r with
-        | Ok sr ->
+        | Ok ((si : Journal.state_image), x) ->
           incr initial_states;
-          outcomes := !outcomes + sr.sr_outcomes;
-          diverged := !diverged + sr.sr_diverged;
-          if not sr.sr_complete then complete := false;
-          states := !states + sr.sr_states;
-          expl := merge_expl !expl sr.sr_expl;
-          failures := sr.sr_failures
+          outcomes := !outcomes + si.si_outcomes;
+          diverged := !diverged + si.si_diverged;
+          if not si.si_complete then complete := false;
+          states := !states + si.si_states;
+          expl := merge_expl !expl x;
+          failures :=
+            List.map (fun crash -> { initial = st; crash }) si.si_failures
         | Error e ->
           (* The state's verdict is lost: record the quarantine and mark
              the run incomplete — like a failure, later states are not
@@ -514,142 +462,182 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
           worker_crashes := [ { initial = st; crash = crash_of_pool_error e } ])
     indexed results;
   {
-    c_initial_states = !initial_states;
-    c_outcomes = !outcomes;
-    c_diverged = !diverged;
-    c_complete = !complete;
-    c_states = !states;
-    c_failures = !failures;
-    c_worker_crashes = !worker_crashes;
-    c_expl = !expl;
+    spec_name = Spec.name spec;
+    tier = Exhaustive;
+    seed = None;
+    initial_states = !initial_states;
+    outcomes = !outcomes;
+    diverged = !diverged;
+    complete = !complete;
+    states = !states;
+    failures = !failures;
+    worker_crashes = !worker_crashes;
+    budget = None;
+    expl = !expl;
   }
 
 (* One sampled attempt: [trials] random schedules per eligible state,
    with consecutive seeds from [seed].  Never complete by construction;
-   a budget trip stops further trials (and states) promptly. *)
+   a budget trip stops further trials (and states) promptly.  The
+   report's [budget] is [None]: the caller sets it. *)
 let sampled_attempt ~fuel ~trials ~interference ~max_failures ~seed
-    ~(budget : Budget.t option) ?(jctx : jctx option) ~(world : World.t)
-    ~(eligible : State.t list) (prog : 'a Prog.t) (spec : 'a Spec.t) : core =
+    ~(budget : Budget.t option) ~(jctx : jctx option) ~(world : World.t)
+    ~(eligible : State.t list) (prog : 'a Prog.t) (spec : 'a Spec.t) : report =
   let interfere = if interference then World.labels world else [] in
   let initial_states = ref 0 in
   let outcomes = ref 0 in
   let diverged = ref 0 in
   let failures = ref [] in
-  let add_failure st crash =
-    if List.length !failures < max_failures then
-      failures := { initial = st; crash } :: !failures
-  in
   let tripped () =
     match budget with
     | None -> false
     | Some b -> Budget.tripped b <> None
   in
-  let jwriter =
-    Option.map
-      (fun { jc_j; jc_spec; jc_tier } ->
-        Journal.writer jc_j ~spec:jc_spec ~tier:jc_tier ())
-      jctx
-  in
+  let jwriter = jwriter_of jctx in
   (* One durable unit per eligible state: all [trials] seeded runs.
      Seeds are consecutive from [seed] per state, so a replayed unit is
      exactly what re-running it would produce; a unit cut short by a
      budget trip is timing-dependent and is not journaled. *)
-  let sample_state (index, st) : state_result =
-    let keep sr = sr.sr_complete in
-    unit_cached jctx ~index ~keep st (fun () ->
-        let genv, mine = Sched.genv_of_state ~interfere world st in
-        let outs = ref 0 and div = ref 0 and fs = ref [] in
-        let add crash =
-          if List.length !fs < max_failures then
-            fs := { initial = st; crash } :: !fs
-        in
-        let s = ref seed in
-        while !s < seed + trials && not (tripped ()) do
-          incr outs;
-          (match
-             Sched.run_random ~fuel ~interference ?budget ?journal:jwriter
-               ~seed:!s genv mine prog
-           with
-          | Sched.Finished (r, final) ->
-            if not (Spec.post spec r st final) then
-              add
-                (Crash.make Crash.Postcondition
-                   (Fmt.str "postcondition violated (seed %d) in %a" !s
-                      State.pp final))
-          | Sched.Crashed c -> add c
-          | Sched.Diverged -> incr div);
-          incr s
-        done;
-        (* [sr_complete] here means "all trials ran" — the unit is
-           durable — not exploration completeness (sampled cores are
-           never complete; [c_complete] below stays [false]). *)
-        {
-          sr_outcomes = !outs;
-          sr_diverged = !div;
-          sr_complete = !s >= seed + trials;
-          sr_states = 0;
-          sr_failures = List.rev !fs;
-          sr_expl = None;
-        })
+  let sample_state st () =
+    let genv, mine = Sched.genv_of_state ~interfere world st in
+    let outs = ref 0 and div = ref 0 and fs = ref [] in
+    let add crash =
+      if List.length !fs < max_failures then fs := crash :: !fs
+    in
+    let s = ref seed in
+    while !s < seed + trials && not (tripped ()) do
+      incr outs;
+      (match
+         Sched.run_random ~fuel ~interference ?budget ?journal:jwriter ~seed:!s
+           genv mine prog
+       with
+      | Sched.Finished (r, final) ->
+        if not (Spec.post spec r st final) then
+          add
+            (Crash.make Crash.Postcondition
+               (Fmt.str "postcondition violated (seed %d) in %a" !s State.pp
+                  final))
+      | Sched.Crashed c -> add c
+      | Sched.Diverged -> incr div);
+      incr s
+    done;
+    (* [si_complete] here means "all trials ran" — the unit is durable —
+       not exploration completeness (sampled reports are never
+       complete). *)
+    ( {
+        Journal.si_outcomes = !outs;
+        si_diverged = !div;
+        si_complete = !s >= seed + trials;
+        si_states = 0;
+        si_failures = List.rev !fs;
+      },
+      None )
   in
+  let keep (si : Journal.state_image) = si.si_complete in
   List.iteri
     (fun index st ->
       if not (tripped ()) then begin
         incr initial_states;
-        let sr = sample_state (index, st) in
-        outcomes := !outcomes + sr.sr_outcomes;
-        diverged := !diverged + sr.sr_diverged;
-        List.iter (fun f -> add_failure f.initial f.crash) sr.sr_failures
+        let si, _ = unit_cached jctx ~index ~keep (sample_state st) in
+        outcomes := !outcomes + si.Journal.si_outcomes;
+        diverged := !diverged + si.Journal.si_diverged;
+        List.iter
+          (fun crash ->
+            if List.length !failures < max_failures then
+              failures := { initial = st; crash } :: !failures)
+          si.Journal.si_failures
       end)
     eligible;
   {
-    c_initial_states = !initial_states;
-    c_outcomes = !outcomes;
-    c_diverged = !diverged;
-    c_complete = false;
-    c_states = 0;
-    c_failures = List.rev !failures;
-    c_worker_crashes = [];
-    c_expl = None;
+    spec_name = Spec.name spec;
+    tier = Sampled;
+    seed = Some seed;
+    initial_states = !initial_states;
+    outcomes = !outcomes;
+    diverged = !diverged;
+    complete = false;
+    states = 0;
+    failures = List.rev !failures;
+    worker_crashes = [];
+    budget = None;
+    expl = None;
   }
 
-let assemble ~spec_name ~tier ~seed ~budget (c : core) : report =
-  {
-    spec_name;
-    tier;
-    seed;
-    initial_states = c.c_initial_states;
-    outcomes = c.c_outcomes;
-    diverged = c.c_diverged;
-    complete = c.c_complete;
-    states = c.c_states;
-    failures = c.c_failures;
-    worker_crashes = c.c_worker_crashes;
-    budget;
-    expl = c.c_expl;
-  }
-
-(* Fold the per-tier budget stats into one record for the report:
-   elapsed and states accumulate across attempts; the trip reason is the
-   last one observed, so a verdict that was ever forced down a tier
-   keeps the reason even when the final attempt finished within its own
+(* Fold two rungs' budget stats into one record for the report: elapsed
+   and states accumulate; the trip reason is the later rung's, else the
+   earlier one's, so a verdict that was ever forced down a tier keeps
+   the reason even when the final attempt finished within its own
    ceilings (that is what makes it {!degraded}). *)
-let merge_stats (ss : Budget.stats list) : Budget.stats =
-  match ss with
-  | [] -> invalid_arg "merge_stats"
-  | s0 :: rest ->
-    List.fold_left
-      (fun acc s ->
-        {
-          Budget.st_elapsed_s = acc.Budget.st_elapsed_s +. s.Budget.st_elapsed_s;
-          st_states = acc.Budget.st_states + s.Budget.st_states;
-          st_major_words = s.Budget.st_major_words;
-          st_tripped =
-            (match s.Budget.st_tripped with
-            | Some _ as t -> t
-            | None -> acc.Budget.st_tripped);
-        })
-      s0 rest
+let merge_stats (a : Budget.stats) (b : Budget.stats) : Budget.stats =
+  {
+    Budget.st_elapsed_s = a.Budget.st_elapsed_s +. b.Budget.st_elapsed_s;
+    st_states = a.Budget.st_states + b.Budget.st_states;
+    st_major_words = b.Budget.st_major_words;
+    st_tripped =
+      (match b.Budget.st_tripped with
+      | Some _ as t -> t
+      | None -> a.Budget.st_tripped);
+  }
+
+(* The journaled run both entry points share.  It reads the engine
+   once, filters the eligible initial states and digests the
+   parameters.  A verdict journaled for this spec under exactly that
+   digest replays wholesale — the memoization that makes resumed
+   registry runs skip completed rows.  Otherwise it journals a
+   [Spec_begin], runs [rungs] (which journal a [Tier_begin] per rung
+   they enter, through [rung]) and journals the verdict. *)
+let journaled ~mode ~fuel ~max_outcomes ~trials ~interference ~env_budget
+    ~max_failures ~(world : World.t) ~(init : State.t list) (spec : 'a Spec.t)
+    (rungs :
+      engine ->
+      eligible:State.t list ->
+      rung:(tier -> int option -> jctx option) ->
+      report) : report =
+  let e = !engine in
+  let spec_name = Spec.name spec in
+  let eligible =
+    List.filter (fun st -> World.coh world st && Spec.pre spec st) init
+  in
+  let params =
+    params_digest ~mode ~fuel ~max_outcomes ~trials ~interference ~env_budget
+      ~max_failures ~seed:e.e_seed ~lim:e.e_budget ~eligible
+  in
+  let replayed =
+    Option.bind e.e_journal (fun j ->
+        Option.bind
+          (Journal.find_spec_done j ~spec:spec_name ~params)
+          (report_of_image ~eligible))
+  in
+  match replayed with
+  | Some r -> r
+  | None ->
+    Option.iter
+      (fun j ->
+        Journal.append j (Journal.Spec_begin { spec = spec_name; params }))
+      e.e_journal;
+    let rung tier seed =
+      Option.map
+        (fun j ->
+          Journal.append j
+            (Journal.Tier_begin
+               { spec = spec_name; tier = tier_name tier; seed });
+          { jc_j = j; jc_spec = spec_name; jc_tier = tier_name tier })
+        e.e_journal
+    in
+    let r = rungs e ~eligible ~rung in
+    Option.iter
+      (fun j ->
+        (* A cancelled verdict must not be memoized: replaying it for
+           the next submission of the same digest would serve the
+           aborted answer as if it were a real exploration.  The
+           unit-level records are already excluded by the tripped-
+           budget [keep] predicates; skip the verdict record too. *)
+        if not (cancelled r) then
+          Journal.append j
+            (Journal.Spec_done (image_of_report ~params ~eligible r));
+        Journal.flush j)
+      e.e_journal;
+    r
 
 (* Trials used by the Sampled rung of the ladder (check_triple has no
    [trials] parameter of its own; [check_triple_random] does). *)
@@ -658,177 +646,89 @@ let ladder_trials = 100
 let check_triple ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
     ?(env_budget = max_int) ?(max_failures = 5) ~(world : World.t)
     ~(init : State.t list) (prog : 'a Prog.t) (spec : 'a Spec.t) : report =
-  let {
-    e_dedup = dedup;
-    e_jobs = jobs;
-    e_budget = lim;
-    e_seed = seed;
-    e_journal = journal;
-  } =
-    !engine
+  journaled ~mode:"exh" ~fuel ~max_outcomes ~trials:ladder_trials ~interference
+    ~env_budget ~max_failures ~world ~init spec
+  @@ fun e ~eligible ~rung ->
+  let attempt b =
+    exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
+      ~max_failures ~dedup:e.e_dedup ~jobs:e.e_jobs ~budget:b
+      ~jctx:(rung Exhaustive None) ~world ~eligible prog spec
   in
-  let spec_name = Spec.name spec in
-  let eligible =
-    List.filter (fun st -> World.coh world st && Spec.pre spec st) init
-  in
-  let params =
-    params_digest ~mode:"exh" ~fuel ~max_outcomes ~trials:ladder_trials
-      ~interference ~env_budget ~max_failures ~seed ~lim ~eligible
-  in
-  (* A journaled verdict for this spec under these exact engine
-     parameters replays wholesale — the memoization that makes resumed
-     registry runs skip completed rows. *)
-  let replayed =
-    Option.bind journal (fun j ->
-        Option.bind
-          (Journal.find_spec_done j ~spec:spec_name ~params)
-          (report_of_image ~eligible))
-  in
-  match replayed with
-  | Some r -> r
-  | None ->
-    Option.iter
-      (fun j -> Journal.append j (Journal.Spec_begin { spec = spec_name; params }))
-      journal;
-    (* Read after the Spec_begin append: the journal index invalidates
+  let lim = e.e_budget in
+  if Budget.is_unlimited lim then
+    (* No budget: exactly the historical single-attempt path. *)
+    attempt None
+  else begin
+    (* The degradation ladder.  The sampled rung re-arms fresh
+       state/heap ceilings but shares the exhaustive rung's absolute
+       deadline, so the whole ladder observes one wall-clock budget.
+       Failures found on a tripped rung are sound counterexamples and
+       are reported as-is; only a failure-free trip degrades.
+
+       A resumed run whose journal already reached the sampled rung
+       re-enters there: the exhaustive rung's failure-free trip is
+       what pushed the interrupted run down.  The marker is read after
+       [journaled]'s [Spec_begin] append: the journal index invalidates
        unit records on a params change, so a surviving tier marker is
        one recorded under exactly these parameters. *)
     let resume_tier =
-      Option.bind journal (fun j ->
-          Option.bind (Journal.last_tier j ~spec:spec_name) (fun (t, _) ->
-              tier_of_name t))
+      Option.bind e.e_journal (fun j ->
+          Option.bind (Journal.last_tier j ~spec:(Spec.name spec))
+            (fun (t, _) -> tier_of_name t))
     in
-    let jctx tier seed =
-      Option.map
-        (fun j ->
-          Journal.append j
-            (Journal.Tier_begin
-               { spec = spec_name; tier = tier_name tier; seed });
-          { jc_j = j; jc_spec = spec_name; jc_tier = tier_name tier })
-        journal
+    let b1 = Budget.arm lim in
+    let sampled b =
+      let r =
+        sampled_attempt ~fuel:(max fuel 256) ~trials:ladder_trials
+          ~interference ~max_failures ~seed:e.e_seed ~budget:(Some b)
+          ~jctx:(rung Sampled (Some e.e_seed)) ~world ~eligible prog spec
+      in
+      { r with budget = Some (Budget.stats b) }
     in
-    let finish r =
-      Option.iter
-        (fun j ->
-          (* A cancelled verdict must not be memoized: replaying it for
-             the next submission of the same digest would serve the
-             aborted answer as if it were a real exploration.  The
-             unit-level records are already excluded by the tripped-
-             budget [keep] predicate; skip the verdict record too. *)
-          if not (cancelled r) then
-            Journal.append j
-              (Journal.Spec_done (image_of_report ~params ~eligible r));
-          Journal.flush j)
-        journal;
-      r
+    (* A cancel trip aborts the ladder at the current rung:
+       degradation is for resource exhaustion, and descending would
+       journal a sampled marker that a later resubmission of the same
+       digest would wrongly resume into (serving a sampled verdict
+       where an exhaustive one was never even attempted). *)
+    let conclusive r s =
+      s.Budget.st_tripped = None
+      || r.failures <> []
+      || s.Budget.st_tripped = Some (Budget.reason_name Budget.Cancelled)
     in
-    let attempt b =
-      exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
-        ~max_failures ~dedup ~jobs ~budget:b
-        ?jctx:(jctx Exhaustive None) ~world ~eligible prog spec
-    in
-    if Budget.is_unlimited lim then
-      (* No budget: exactly the historical single-attempt path. *)
-      finish
-        (assemble ~spec_name ~tier:Exhaustive ~seed:None ~budget:None
-           (attempt None))
+    if resume_tier = Some Sampled then sampled b1
     else begin
-      (* The degradation ladder.  The sampled rung re-arms fresh
-         state/heap ceilings but shares the exhaustive rung's absolute
-         deadline, so the whole ladder observes one wall-clock budget.
-         Failures found on a tripped rung are sound counterexamples and
-         are reported as-is; only a failure-free trip degrades.
-
-         A resumed run whose journal already reached the sampled rung
-         re-enters there: the exhaustive rung's failure-free trip is
-         what pushed the interrupted run down. *)
-      let b1 = Budget.arm lim in
-      (* Like the budget stats, exploration counters are cumulative
-         across rungs: the work a failure-free tripped exhaustive rung
-         burned is part of what this verdict cost. *)
-      let sample_with b stats_so_far expl_so_far =
-        let c =
-          sampled_attempt ~fuel:(max fuel 256) ~trials:ladder_trials
-            ~interference ~max_failures ~seed ~budget:(Some b)
-            ?jctx:(jctx Sampled (Some seed)) ~world ~eligible prog spec
+      let r1 = attempt (Some b1) in
+      let s1 = Budget.stats b1 in
+      if conclusive r1 s1 then { r1 with budget = Some s1 }
+      else
+        let r2 =
+          sampled (Budget.arm ?deadline_at:(Budget.deadline_at b1) lim)
         in
-        assemble ~spec_name ~tier:Sampled ~seed:(Some seed)
-          ~budget:(Some (merge_stats (stats_so_far @ [ Budget.stats b ])))
-          { c with c_expl = expl_so_far }
-      in
-      (* A cancel trip aborts the ladder at the current rung:
-         degradation is for resource exhaustion, and descending would
-         journal a sampled marker that a later resubmission of the same
-         digest would wrongly resume into (serving a sampled verdict
-         where an exhaustive one was never even attempted). *)
-      let conclusive c s =
-        s.Budget.st_tripped = None
-        || c.c_failures <> []
-        || s.Budget.st_tripped = Some (Budget.reason_name Budget.Cancelled)
-      in
-      finish
-        (if resume_tier = Some Sampled then sample_with b1 [] None
-         else begin
-           let c1 = attempt (Some b1) in
-           let s1 = Budget.stats b1 in
-           if conclusive c1 s1 then
-             assemble ~spec_name ~tier:Exhaustive ~seed:None ~budget:(Some s1)
-               c1
-           else
-             sample_with
-               (Budget.arm ?deadline_at:(Budget.deadline_at b1) lim)
-               [ s1 ] c1.c_expl
-         end)
+        (* Like the budget stats, exploration counters are cumulative
+           across rungs: the work a failure-free tripped exhaustive rung
+           burned is part of what this verdict cost. *)
+        {
+          r2 with
+          budget = Option.map (merge_stats s1) r2.budget;
+          expl = r1.expl;
+        }
     end
+  end
 
 (* Randomized checking for configurations too large to exhaust: [trials]
    random schedules per initial state, with consecutive seeds from
-   [seed] (so a report's recorded seed replays bit-identically). *)
+   [seed] (so a report's recorded seed replays bit-identically).  One
+   rung, journaled like the ladder's. *)
 let check_triple_random ?(fuel = 2000) ?(trials = 100) ?(interference = false)
     ?(max_failures = 5) ~(world : World.t) ~(init : State.t list)
     (prog : 'a Prog.t) (spec : 'a Spec.t) : report =
-  let { e_budget = lim; e_seed = seed; e_journal = journal; _ } = !engine in
+  journaled ~mode:"rand" ~fuel ~max_outcomes:0 ~trials ~interference
+    ~env_budget:0 ~max_failures ~world ~init spec
+  @@ fun e ~eligible ~rung ->
+  let lim = e.e_budget in
   let b = if Budget.is_unlimited lim then None else Some (Budget.arm lim) in
-  let spec_name = Spec.name spec in
-  let eligible =
-    List.filter (fun st -> World.coh world st && Spec.pre spec st) init
+  let r =
+    sampled_attempt ~fuel ~trials ~interference ~max_failures ~seed:e.e_seed
+      ~budget:b ~jctx:(rung Sampled (Some e.e_seed)) ~world ~eligible prog spec
   in
-  let params =
-    params_digest ~mode:"rand" ~fuel ~max_outcomes:0 ~trials ~interference
-      ~env_budget:0 ~max_failures ~seed ~lim ~eligible
-  in
-  let replayed =
-    Option.bind journal (fun j ->
-        Option.bind
-          (Journal.find_spec_done j ~spec:spec_name ~params)
-          (report_of_image ~eligible))
-  in
-  match replayed with
-  | Some r -> r
-  | None ->
-    let jctx =
-      Option.map
-        (fun j ->
-          Journal.append j
-            (Journal.Spec_begin { spec = spec_name; params });
-          Journal.append j
-            (Journal.Tier_begin
-               { spec = spec_name; tier = tier_name Sampled; seed = Some seed });
-          { jc_j = j; jc_spec = spec_name; jc_tier = tier_name Sampled })
-        journal
-    in
-    let c =
-      sampled_attempt ~fuel ~trials ~interference ~max_failures ~seed ~budget:b
-        ?jctx ~world ~eligible prog spec
-    in
-    let r =
-      assemble ~spec_name ~tier:Sampled ~seed:(Some seed)
-        ~budget:(Option.map Budget.stats b) c
-    in
-    Option.iter
-      (fun j ->
-        if not (cancelled r) then
-          Journal.append j (Journal.Spec_done (image_of_report ~params ~eligible r));
-        Journal.flush j)
-      journal;
-    r
+  { r with budget = Option.map Budget.stats b }

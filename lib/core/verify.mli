@@ -175,7 +175,12 @@ val with_engine :
     resumed run reaches the verdict the uninterrupted run would have
     reached; units cut short by a budget trip are timing-dependent and
     are deliberately not journaled (a resume with a fresh budget
-    legitimately explores further).  See {!Journal} and
+    legitimately explores further).  {!check_triple} and
+    {!check_triple_random} share one journaled code path and differ only
+    in their rungs and in the [mode] their parameter digest starts
+    with ([exh] or [rand]).  A unit's journaled record is its whole
+    result apart from exploration counters, and a verdict's budget is
+    journaled as the {!Budget.stats} it carries.  See {!Journal} and
     docs/ROBUSTNESS.md. *)
 
 val check_triple :
@@ -212,5 +217,8 @@ val check_triple_random :
     from the engine's [seed] (see {!with_engine}), so a report's
     recorded seed replays bit-identically.  An engine [budget] trip
     stops further trials promptly; the engine's [journal], when armed,
-    records and replays the run.  The report's tier is always
+    records the run as a one-rung ladder (a [Spec_begin], one sampled
+    [Tier_begin], a [State_done] per initial state whose trials all
+    ran, and the verdict), replays a journaled verdict wholesale and
+    replays journaled units on resume.  The report's tier is always
     {!Sampled}. *)

@@ -300,12 +300,6 @@ let canonical_verdict (v : Json.t) : Json.t =
    joined the status/jobs renderings. *)
 let schema_version = 2
 
-let job_status_name = function
-  | `Complete -> "complete"
-  | `Degraded -> "degraded"
-  | `Failed -> "FAILED"
-  | `In_flight -> "in-flight"
-
 (* The one renderer both the offline CLI ([fcsl jobs status DIR --json])
    and the daemon's status endpoint go through, so the two can never
    drift.  [extra] lets the live endpoint add queue/drain fields on top
@@ -317,7 +311,7 @@ let jobs_json ?(extra = []) (jobs : Journal.job list) : Json.t
       [
         ("spec", Json.Str j.Journal.j_spec);
         ("params", Json.Str j.Journal.j_params);
-        ("status", Json.Str (job_status_name j.Journal.j_status));
+        ("status", Json.Str (Journal.status_name j.Journal.j_status));
         ( "tier",
           match j.Journal.j_tier with
           | Some t -> Json.Str t
@@ -327,7 +321,7 @@ let jobs_json ?(extra = []) (jobs : Journal.job list) : Json.t
         ("failures", Json.Int j.Journal.j_failures);
         ( "tripped",
           match j.Journal.j_budget with
-          | Some { Journal.bi_tripped = Some t; _ } -> Json.Str t
+          | Some { Budget.st_tripped = Some t; _ } -> Json.Str t
           | _ -> Json.Null );
       ]
   in

@@ -36,7 +36,6 @@ type config = {
   sc_queue_bound : int;
   sc_jobs : int;
   sc_signals : bool;
-  sc_idle_exit_s : float option;
   sc_job_delay_s : float;
   sc_overload_high : int;
   sc_overload_low : int;
@@ -44,7 +43,7 @@ type config = {
 }
 
 let config ?(resume = false) ?fsync ?(queue_bound = 16) ?(jobs = 1)
-    ?(signals = true) ?idle_exit_s ?(job_delay_s = 0.) ?overload_high
+    ?(signals = true) ?(job_delay_s = 0.) ?overload_high
     ?overload_low ?rate ~socket ~journal_dir () =
   (* Watermark defaults frame the queue bound: pressure is declared at
      3/4 of capacity and released at 1/4, so the overload state can't
@@ -67,7 +66,6 @@ let config ?(resume = false) ?fsync ?(queue_bound = 16) ?(jobs = 1)
     sc_queue_bound = queue_bound;
     sc_jobs = jobs;
     sc_signals = signals;
-    sc_idle_exit_s = idle_exit_s;
     sc_job_delay_s = job_delay_s;
     sc_overload_high = high;
     sc_overload_low = low;
@@ -131,7 +129,6 @@ type t = {
   mutable draining : bool;
   mutable exec_done : bool;
   mutable conns : conn list;
-  mutable last_activity : float;
   stop_req : bool Atomic.t;  (* set from the SIGTERM handler *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -176,36 +173,43 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
+(* The service's own verdict records (the job and shed ledgers) explore
+   nothing: a spec, a digest, a tier and a count. *)
+let ledger_record ~spec ~params ~tier ~complete ~states ~budget =
+  Journal.Spec_done
+    {
+      Journal.ri_spec = spec;
+      ri_params = params;
+      ri_tier = tier;
+      ri_seed = None;
+      ri_initial_states = 0;
+      ri_outcomes = 0;
+      ri_diverged = 0;
+      ri_complete = complete;
+      ri_states = states;
+      ri_failures = [];
+      ri_worker_crashes = [];
+      ri_budget = budget;
+    }
+
 (* A ledger record for the job itself, riding the same WAL as the spec
    verdicts.  [tier] distinguishes a finished job ("service") from a
    cancelled one ("service-cancelled"): only the former is a memo hit,
    and neither resumes. *)
 let ledger_done t job ~tier ~cancelled ~elapsed_s ~states =
   Journal.append t.jrnl
-    (Journal.Spec_done
-       {
-         Journal.ri_spec = ledger_spec job.jb_digest;
-         ri_params = job.jb_digest;
-         ri_tier = tier;
-         ri_seed = None;
-         ri_initial_states = 0;
-         ri_outcomes = 0;
-         ri_diverged = 0;
-         ri_complete = not cancelled;
-         ri_states = states;
-         ri_failures = [];
-         ri_worker_crashes = [];
-         ri_budget =
-           (if cancelled then
-              Some
-                {
-                  Journal.bi_elapsed_s = elapsed_s;
-                  bi_states = states;
-                  bi_major_words = 0;
-                  bi_tripped = Some (Budget.reason_name Budget.Cancelled);
-                }
-            else None);
-       });
+    (ledger_record ~spec:(ledger_spec job.jb_digest) ~params:job.jb_digest
+       ~tier ~complete:(not cancelled) ~states
+       ~budget:
+         (if cancelled then
+            Some
+              {
+                Budget.st_elapsed_s = elapsed_s;
+                st_states = states;
+                st_major_words = 0;
+                st_tripped = Some (Budget.reason_name Budget.Cancelled);
+              }
+          else None));
   Journal.flush t.jrnl
 
 (* --- Overload state machine -------------------------------------------- *)
@@ -227,21 +231,8 @@ let update_overload t =
 let shed_reply t ~case ~digest ~reason =
   t.shed_total <- t.shed_total + 1;
   Journal.append t.jrnl
-    (Journal.Spec_done
-       {
-         Journal.ri_spec = shed_spec case;
-         ri_params = digest;
-         ri_tier = "service-shed";
-         ri_seed = None;
-         ri_initial_states = 0;
-         ri_outcomes = 0;
-         ri_diverged = 0;
-         ri_complete = true;
-         ri_states = t.shed_total;
-         ri_failures = [];
-         ri_worker_crashes = [];
-         ri_budget = None;
-       });
+    (ledger_record ~spec:(shed_spec case) ~params:digest ~tier:"service-shed"
+       ~complete:true ~states:t.shed_total ~budget:None);
   Protocol.shed ~reason ~queue:(List.length t.cold)
 
 (* Lazy token-bucket refill; [true] when the submission may pass.
@@ -299,7 +290,6 @@ let create cfg =
       draining = false;
       exec_done = false;
       conns = [];
-      last_activity = now ();
       stop_req = Atomic.make false;
       wake_r;
       wake_w;
@@ -519,7 +509,6 @@ let run_job t job =
         (match Hashtbl.find_opt t.live job.jb_digest with
         | Some j when j == job -> Hashtbl.remove t.live job.jb_digest
         | _ -> ());
-        t.last_activity <- now ();
         job.jb_waiters)
   in
   (* The ledger record goes out after the table answers for the digest,
@@ -572,7 +561,6 @@ let submit t conn ~case ~qos =
   let hit = ref None in
   let reply =
     locked t (fun () ->
-        t.last_activity <- now ();
         if t.draining then shed_reply t ~case ~digest ~reason:"draining"
         else if Registry.find case = None then
           Protocol.error_frame (proto_error (Printf.sprintf "unknown case %S" case))
@@ -741,8 +729,7 @@ let disconnect t conn =
   locked t (fun () ->
       conn.cn_alive <- false;
       t.conns <- List.filter (fun c -> c != conn) t.conns;
-      Hashtbl.iter (fun _ job -> withdraw_conn_from t conn job) t.live;
-      t.last_activity <- now ());
+      Hashtbl.iter (fun _ job -> withdraw_conn_from t conn job) t.live);
   try Unix.close conn.cn_fd with _ -> ()
 
 let handle_line t conn line =
@@ -818,15 +805,6 @@ let run t =
   let finished () = locked t (fun () -> t.exec_done) in
   while not (finished ()) do
     if Atomic.get t.stop_req then drain t;
-    (match t.cfg.sc_idle_exit_s with
-    | Some idle ->
-      let quiet =
-        locked t (fun () ->
-            t.conns = [] && t.cold = []
-            && now () -. t.last_activity > idle)
-      in
-      if quiet then drain t
-    | None -> ());
     match Unix.select [ listen_fd ] [] [] 0.2 with
     | [ _ ], _, _ when not (finished ()) ->
       let fd, _ = Unix.accept listen_fd in
@@ -843,9 +821,7 @@ let run t =
           cn_refill_t = now ();
         }
       in
-      locked t (fun () ->
-          t.conns <- conn :: t.conns;
-          t.last_activity <- now ());
+      locked t (fun () -> t.conns <- conn :: t.conns);
       conn_threads := Thread.create (conn_loop t) conn :: !conn_threads
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

@@ -27,8 +27,6 @@ type config = {
   sc_signals : bool;
       (** install SIGTERM/SIGINT drain handlers (off for in-process
           servers inside tests and the chaos harness) *)
-  sc_idle_exit_s : float option;
-      (** drain after this long with no connections and no work *)
   sc_job_delay_s : float;
       (** artificial pre-exploration delay per job — the chaos/test
           hook that makes mid-job kills and queue overflow
@@ -52,7 +50,6 @@ val config :
   ?queue_bound:int ->
   ?jobs:int ->
   ?signals:bool ->
-  ?idle_exit_s:float ->
   ?job_delay_s:float ->
   ?overload_high:int ->
   ?overload_low:int ->
@@ -62,7 +59,7 @@ val config :
   unit ->
   config
 (** Defaults: no resume, journal-default fsync, queue bound 16, 1
-    domain, signals installed, no idle exit, no delay, watermarks at
+    domain, signals installed, no delay, watermarks at
     3/4 and 1/4 of the queue bound, no rate limit. *)
 
 type t

@@ -66,10 +66,10 @@ let sample_records =
         ri_budget =
           Some
             {
-              Journal.bi_elapsed_s = 0.25;
-              bi_states = 9001;
-              bi_major_words = 4096;
-              bi_tripped = Some "state-ceiling";
+              Budget.st_elapsed_s = 0.25;
+              st_states = 9001;
+              st_major_words = 4096;
+              st_tripped = Some "state-ceiling";
             };
       };
   ]

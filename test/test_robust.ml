@@ -417,8 +417,6 @@ let test_ladder_resume_sampled () =
       check "tier is sampled" true (r.Verify.tier = Verify.Sampled);
       Alcotest.(check (option int)) "seed recorded" (Some 7) r.Verify.seed)
 
-(* --- Seeded replay --------------------------------------------------- *)
-
 (* Everything a sampled report promises, rendered canonically; budget
    stats are excluded (wall-clock and heap words are not replayable). *)
 let canon_report (r : Verify.report) =
@@ -431,6 +429,97 @@ let canon_report (r : Verify.report) =
     (List.map (fun f -> f.Verify.crash) r.Verify.failures)
     Fmt.(list ~sep:comma Crash.pp)
     (List.map (fun f -> f.Verify.crash) r.Verify.worker_crashes)
+
+(* --- The sampled-only journal path -------------------------------------- *)
+
+(* Pair snapshot's reader, sampled: 9 eligible initial states, 5 seeded
+   trials each, journaled under base seed 7. *)
+let journaled_read_pair ?resume dir =
+  with_journal ?resume dir (fun j ->
+      let units = Journal.completed_units j in
+      let r =
+        Verify.with_engine ~seed:7 ~journal:(Some j) @@ fun () ->
+        Verify.check_triple_random ~fuel:12 ~trials:5
+          ~world:(Snapshot.world ())
+          ~init:(Snapshot.init_states ())
+          (Snapshot.read_pair Snapshot.sp_label)
+          (Snapshot.read_pair_spec Snapshot.sp_label)
+      in
+      (r, units, Journal.completed_units j))
+
+(* One line per record: its kind and the fields resume keys on. *)
+let record_shape = function
+  | Journal.Meta _ -> "meta"
+  | Journal.Spec_begin { params; _ } ->
+    "begin " ^ List.hd (String.split_on_char ',' params)
+  | Journal.Tier_begin { tier; seed; _ } ->
+    Fmt.str "tier %s %a" tier Fmt.(option ~none:(any "-") int) seed
+  | Journal.State_done { tier; index; _ } -> Fmt.str "unit %s %d" tier index
+  | Journal.Spec_done ri -> "done " ^ ri.Journal.ri_tier
+  | r -> Fmt.str "%a" Journal.pp_record r
+
+let units_shape lo hi =
+  List.init (hi - lo + 1) (fun i -> Fmt.str "unit sampled %d" (lo + i))
+
+(* [check_triple_random] journals a Spec_begin, its one sampled rung and
+   every unit, then the verdict; a resumed run replays the verdict
+   wholesale, and a run over a journal holding only some units explores
+   just the rest. *)
+let test_random_journal () =
+  with_watchdog 60 (fun () ->
+      let dir = Test_journal.tmp_dir () in
+      let r, _, units = journaled_read_pair dir in
+      let records = fst (Journal.read dir) in
+      Alcotest.(check (list string))
+        "records of a fresh run"
+        ([ "meta"; "begin mode=rand"; "tier sampled 7" ]
+        @ units_shape 0 8 @ [ "done sampled" ])
+        (List.map record_shape records);
+      check "one spec journaled" true
+        (List.for_all
+           (function
+             | Journal.Meta _ -> true
+             | Journal.Spec_begin { spec; _ }
+             | Journal.Tier_begin { spec; _ }
+             | Journal.State_done { spec; _ } ->
+               spec = r.Verify.spec_name
+             | Journal.Spec_done ri -> ri.Journal.ri_spec = r.Verify.spec_name
+             | _ -> false)
+           records);
+      Alcotest.(check int) "9 units and the verdict" 10 units;
+      (* resumed: the verdict replays, nothing but a Meta is appended *)
+      let r2, before, after = journaled_read_pair ~resume:true dir in
+      Alcotest.(check string)
+        "replayed report" (canon_report r) (canon_report r2);
+      Alcotest.(check int) "no unit completed on replay" before after;
+      Alcotest.(check (list string))
+        "replay appends only a Meta"
+        (List.map record_shape records @ [ "meta" ])
+        (List.map record_shape (fst (Journal.read dir)));
+      (* a journal cut after unit 3: units 0-3 replay, 4-8 are explored *)
+      let seeded =
+        List.filter
+          (function
+            | Journal.Spec_begin _ | Journal.Tier_begin _ -> true
+            | Journal.State_done { index; _ } -> index < 4
+            | _ -> false)
+          records
+      in
+      let dir = Test_journal.tmp_dir () in
+      with_journal dir (fun j -> List.iter (Journal.append j) seeded);
+      let prefix = List.length (fst (Journal.read dir)) in
+      let r3, _, _ = journaled_read_pair ~resume:true dir in
+      Alcotest.(check string)
+        "resumed report" (canon_report r) (canon_report r3);
+      Alcotest.(check (list string))
+        "only units 4-8 and the verdict explored"
+        ([ "meta"; "begin mode=rand"; "tier sampled 7" ]
+        @ units_shape 4 8 @ [ "done sampled" ])
+        (List.filteri
+           (fun i _ -> i >= prefix)
+           (List.map record_shape (fst (Journal.read dir)))))
+
+(* --- Seeded replay --------------------------------------------------- *)
 
 let prop_seeded_replay =
   QCheck_alcotest.to_alcotest
@@ -600,4 +689,6 @@ let suite =
       test_ladder_rungs;
     Alcotest.test_case "ladder: resume re-enters at the sampled rung" `Quick
       test_ladder_resume_sampled;
+    Alcotest.test_case "journal: sampled-only run records, replays, resumes"
+      `Quick test_random_journal;
   ]
