@@ -310,7 +310,10 @@ let serve_cmd =
             "Cold-queue bound: submissions needing fresh exploration \
              beyond $(docv) queued jobs receive a structured shed frame \
              (memo-served submissions are never shed — they cost no \
-             exploration)")
+             exploration).  It also sets the overload watermarks: at \
+             3/4 of $(docv) queued jobs bronze submissions shed and \
+             gold/silver are demoted one QoS rung with verdicts marked \
+             degraded, until the queue falls to 1/4 of $(docv)")
   in
   let job_delay_arg =
     Arg.(
@@ -318,8 +321,8 @@ let serve_cmd =
       & info [ "job-delay" ] ~docv:"SECS"
           ~doc:
             "Sleep $(docv) seconds before each job's exploration — a \
-             testing/chaos aid that makes mid-job kills and queue \
-             overflow deterministic")
+             testing aid that makes mid-job kills and queue overflow \
+             deterministic")
   in
   let supervise_flag =
     Arg.(
@@ -360,23 +363,6 @@ let serve_cmd =
             "Where the supervisor records the current child's pid \
              (default: $(i,JOURNAL)/daemon.pid when supervising)")
   in
-  let overload_high_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "overload-high" ] ~docv:"N"
-          ~doc:
-            "Cold-queue depth that declares overload: bronze submissions \
-             shed, gold/silver demoted one QoS rung with verdicts marked \
-             degraded (default: 3/4 of $(b,--queue))")
-  in
-  let overload_low_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "overload-low" ] ~docv:"N"
-          ~doc:
-            "Cold-queue depth that releases overload (hysteresis; \
-             default: 1/4 of $(b,--queue))")
-  in
   let rate_arg =
     Arg.(
       value & opt (some float) None
@@ -392,8 +378,8 @@ let serve_cmd =
           ~doc:"Token-bucket burst capacity (with $(b,--rate))")
   in
   let run socket journal_dir resume fsync queue jobs job_delay
-      supervise restart_limit restart_window restart_backoff pidfile
-      overload_high overload_low rate burst =
+      supervise restart_limit restart_window restart_backoff pidfile rate
+      burst =
     let fsync =
       Option.map
         (fun s ->
@@ -406,7 +392,7 @@ let serve_cmd =
     in
     let mkcfg ~resume =
       Fcsl_service.Server.config ~resume ?fsync ~queue_bound:queue ~jobs
-        ~job_delay_s:job_delay ?overload_high ?overload_low
+        ~job_delay_s:job_delay
         ?rate:(Option.map (fun r -> (r, burst)) rate)
         ~socket ~journal_dir:journal_dir ()
     in
@@ -480,8 +466,7 @@ let serve_cmd =
       const run $ socket_arg $ journal_req $ resume_flag $ fsync_arg
       $ queue_arg $ jobs_arg $ job_delay_arg
       $ supervise_flag $ restart_limit_arg $ restart_window_arg
-      $ restart_backoff_arg $ pidfile_arg $ overload_high_arg
-      $ overload_low_arg $ rate_arg $ burst_arg)
+      $ restart_backoff_arg $ pidfile_arg $ rate_arg $ burst_arg)
 
 let submit_cmd =
   let cases_arg =
@@ -1114,12 +1099,11 @@ let chaos_cmd =
       value & opt (some string) None
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
-            "Run a single injection mode (pool-transient, \
+            "Run a single engine injection mode (pool-transient, \
              pool-persistent, mid-explore, budget-starve, spurious-cas, \
-             transient-unsafe, env-burst, kill9-midrun, \
-             service-client-kill, service-torn-frames, service-kill9, \
-             service-supervisor-kill, service-overload-flood, \
-             journal-enospc, client-retry-partition); default: all modes")
+             transient-unsafe, env-burst, kill9-midrun); default: all \
+             eight.  The daemon's faults are staged by the service \
+             tests and the CI drills (docs/ROBUSTNESS.md)")
   in
   let case_arg =
     Arg.(

@@ -104,7 +104,7 @@ let env_steps_closure ?(fuel = 8) c s =
   let module SS = Set.Make (struct
     type t = Slice.t
 
-    let compare = Slice.compare_for_dedup
+    let compare = Slice.compare
   end) in
   let rec go seen frontier n =
     if n = 0 || frontier = [] then seen

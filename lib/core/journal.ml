@@ -543,7 +543,7 @@ let index_live_records ix : record list =
 
 (* --- The handle -------------------------------------------------------- *)
 
-(* The syscall boundary, pluggable so the chaos harness can inject
+(* The syscall boundary, pluggable so the tests can inject
    ENOSPC/EIO/short writes/fsync failures without touching a real
    filesystem knob.  Everything the journal persists flows through one
    of these three hooks. *)
@@ -787,7 +787,6 @@ let find_state_done t ~spec ~tier ~index =
   locked t (fun () -> Hashtbl.find_opt t.ix.ix_state_done (spec, tier, index))
 
 let last_tier t ~spec = locked t (fun () -> Hashtbl.find_opt t.ix.ix_tier spec)
-let spec_params t ~spec = locked t (fun () -> Hashtbl.find_opt t.ix.ix_params spec)
 
 let completed_units t =
   locked t (fun () ->
@@ -816,8 +815,6 @@ type writer = {
 let writer t ~spec ~tier ?(every = 1024) () =
   { w_j = t; w_spec = spec; w_tier = tier; w_every = max 1 every;
     w_count = Atomic.make 0 }
-
-let writer_states w = Atomic.get w.w_count
 
 let writer_tick w =
   let n = Atomic.fetch_and_add w.w_count 1 + 1 in

@@ -105,7 +105,7 @@ type io = {
   io_rename : string -> string -> unit;
 }
 (** The journal's syscall boundary.  Every byte the journal persists
-    flows through these three hooks, so a chaos harness can inject
+    flows through these three hooks, so a test can inject
     ENOSPC, EIO, short writes, fsync failures and rename failures at
     arbitrary offsets without a real filesystem knob
     (docs/SERVICE.md §6). *)
@@ -193,9 +193,6 @@ val last_tier : t -> spec:string -> (string * int option) option
 (** The last journaled ladder rung of [spec], with its sampling seed
     when it recorded one. *)
 
-val spec_params : t -> spec:string -> string option
-(** The parameter digest [spec] was journaled under, if any. *)
-
 val completed_units : t -> int
 (** The number of durable verification units (state-level plus
     spec-level completions) currently recorded — the monotone progress
@@ -217,8 +214,6 @@ val writer : t -> spec:string -> tier:string -> ?every:int -> unit -> writer
 
 val writer_tick : writer -> unit
 val writer_crash : writer -> Crash.t -> unit
-val writer_states : writer -> int
-(** Configurations ticked through this writer so far. *)
 
 (** {1 Read-only inspection (the [fcsl jobs] CLI)} *)
 

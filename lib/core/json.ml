@@ -6,7 +6,8 @@
    [to_string] and [parse].
    The parser reads arbitrary client frames, not just our own output.
    Scope is exactly what one-line values need: no streaming, no
-   float-precision heroics beyond round-tripping what we print. *)
+   float-precision heroics beyond printing the shortest digits that
+   round-trip. *)
 
 type t =
   | Null
@@ -32,15 +33,29 @@ let escape s =
     s;
   Buffer.contents b
 
+(* JSON has no spelling for NaN or the infinities: they print as
+   [null].  A whole number below 1e15 keeps its ".0"; any other float
+   prints as the shortest of 15, 16 or 17 significant digits that reads
+   back to the same bits, so 0.08 prints as "0.08", not as
+   "0.080000000000000002". *)
+let float_lit f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let rec shortest digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      let back = Int64.bits_of_float (float_of_string s) in
+      if digits >= 17 || Int64.equal back (Int64.bits_of_float f) then s
+      else shortest (digits + 1)
+    in
+    shortest 15
+
 let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int n -> Buffer.add_string b (string_of_int n)
-  | Float f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string b (Printf.sprintf "%.1f" f)
-    else Buffer.add_string b (Printf.sprintf "%.17g" f)
+  | Float f -> Buffer.add_string b (float_lit f)
   | Str s ->
     Buffer.add_char b '"';
     Buffer.add_string b (escape s);

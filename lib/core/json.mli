@@ -5,9 +5,13 @@
     carries no JSON library dependency.
 
     Scope: one-line values.  Integers that fit [int] parse as {!Int};
-    other numbers as {!Float}.  The printer escapes the double quote, the
-    backslash, newline and the other control bytes (as [\u00XX]) and
-    passes every other byte through, so UTF-8 text stays readable. *)
+    other numbers as {!Float}.  A finite {!Float} prints as the shortest
+    of 15, 16 or 17 significant digits that parses back to the same
+    bits (a whole number below 1e15 as [N.0]); NaN and the infinities,
+    which JSON cannot spell, print as [null].  The printer escapes the
+    double quote, the backslash, newline and the other control bytes
+    (as [\u00XX]) and passes every other byte through, so UTF-8 text
+    stays readable. *)
 
 type t =
   | Null

@@ -69,8 +69,6 @@ let compare s1 s2 =
       let c = Aux.compare s1.jaux s2.jaux in
       if c <> 0 then c else Aux.compare s1.other s2.other
 
-let compare_for_dedup = compare
-
 let hash s =
   (((((Aux.hash s.self * 33) lxor Heap.hash s.joint) * 33)
    lxor Aux.hash s.jaux)

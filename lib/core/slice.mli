@@ -50,10 +50,6 @@ val compare : t -> t -> int
 (** Semantic total order over all four components, consistent with
     {!equal}. *)
 
-val compare_for_dedup : t -> t -> int
-(** Alias of {!compare}; kept for the state-set deduplication call
-    sites. *)
-
 val hash : t -> int
 (** Consistent with {!equal}; used by memoized exploration. *)
 

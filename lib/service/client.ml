@@ -1,6 +1,6 @@
 (* The client side of the service protocol: a blocking line-framed
-   connection used by [fcsl submit], the service tests, the bench
-   harness and the chaos modes.  One request at a time per connection —
+   connection used by [fcsl submit], the service tests and the bench
+   harness.  One request at a time per connection —
    the submit path reads frames until its terminal verdict (or shed, or
    error), invoking a callback on progress frames in between. *)
 
@@ -26,8 +26,8 @@ let close c =
     try Unix.close c.fd with _ -> ()
   end
 
-(* Abrupt teardown without the polite shutdown: the chaos harness's
-   "killed client" — from the server's side indistinguishable from a
+(* Abrupt teardown without the polite shutdown: the tests' "killed
+   client" — from the server's side indistinguishable from a
    SIGKILLed process holding the other end. *)
 let abandon = close
 

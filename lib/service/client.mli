@@ -1,5 +1,5 @@
 (** The client side of the service protocol — what [fcsl submit], the
-    tests, the bench harness and the chaos modes speak.  Blocking,
+    tests and the bench harness speak.  Blocking,
     line-framed, one request in flight per connection. *)
 
 open Fcsl_core
@@ -13,12 +13,11 @@ val close : conn -> unit
 
 val abandon : conn -> unit
 (** Abrupt teardown mid-stream — from the server's side
-    indistinguishable from a SIGKILLed client.  The chaos harness's
-    client-kill mode. *)
+    indistinguishable from a SIGKILLed client (the disconnect test). *)
 
 val send : conn -> Protocol.request -> unit
 val send_raw : conn -> string -> unit
-(** Write one raw line (no validation) — the torn-frames chaos mode. *)
+(** Write one raw line (no validation) — the torn-frames test. *)
 
 val read_frame : ?timeout_s:float -> conn -> (Json.t, string) result
 

@@ -5,7 +5,7 @@
 
    Malformed frames are data, not exceptions: they parse to a
    [Crash.Protocol_error] that the server echoes back in a structured
-   error frame, so a fuzzing client (or the torn-frames chaos mode)
+   error frame, so a fuzzing client (or the torn-frames test)
    can never crash the daemon or silently lose a diagnosis. *)
 
 open Fcsl_core

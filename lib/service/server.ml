@@ -37,27 +37,11 @@ type config = {
   sc_jobs : int;
   sc_signals : bool;
   sc_job_delay_s : float;
-  sc_overload_high : int;
-  sc_overload_low : int;
   sc_rate : (float * int) option;
 }
 
 let config ?(resume = false) ?fsync ?(queue_bound = 16) ?(jobs = 1)
-    ?(signals = true) ?(job_delay_s = 0.) ?overload_high
-    ?overload_low ?rate ~socket ~journal_dir () =
-  (* Watermark defaults frame the queue bound: pressure is declared at
-     3/4 of capacity and released at 1/4, so the overload state can't
-     flap on a queue oscillating around one threshold. *)
-  let high =
-    match overload_high with
-    | Some h -> max 1 h
-    | None -> max 1 (queue_bound * 3 / 4)
-  in
-  let low =
-    match overload_low with
-    | Some l -> max 0 (min l (high - 1))
-    | None -> min (high - 1) (queue_bound / 4)
-  in
+    ?(signals = true) ?(job_delay_s = 0.) ?rate ~socket ~journal_dir () =
   {
     sc_socket = socket;
     sc_journal_dir = journal_dir;
@@ -67,10 +51,14 @@ let config ?(resume = false) ?fsync ?(queue_bound = 16) ?(jobs = 1)
     sc_jobs = jobs;
     sc_signals = signals;
     sc_job_delay_s = job_delay_s;
-    sc_overload_high = high;
-    sc_overload_low = low;
     sc_rate = rate;
   }
+
+(* The overload watermarks frame the queue bound: pressure is declared
+   at 3/4 of capacity and released at 1/4, so the overload state can't
+   flap on a queue oscillating around one threshold. *)
+let overload_high cfg = max 1 (cfg.sc_queue_bound * 3 / 4)
+let overload_low cfg = min (overload_high cfg - 1) (cfg.sc_queue_bound / 4)
 
 (* --- Connections ------------------------------------------------------- *)
 
@@ -221,9 +209,9 @@ let update_overload t =
   let depth = List.length t.cold in
   match t.overload with
   | Protocol.Normal ->
-    if depth >= t.cfg.sc_overload_high then t.overload <- Protocol.Overloaded
+    if depth >= overload_high t.cfg then t.overload <- Protocol.Overloaded
   | Protocol.Overloaded ->
-    if depth <= t.cfg.sc_overload_low then t.overload <- Protocol.Normal
+    if depth <= overload_low t.cfg then t.overload <- Protocol.Normal
 
 (* Answer a submission with a structured shed frame, count it, and
    journal the decision (group-committed — a flood must not turn every
@@ -349,7 +337,7 @@ let create cfg =
     (* the overload state is a function of the restored queue depth —
        recomputing it here is exactly the honest restoration: a daemon
        that died overloaded resumes overloaded *)
-    if List.length t.cold >= t.cfg.sc_overload_high then
+    if List.length t.cold >= overload_high t.cfg then
       t.overload <- Protocol.Overloaded
   end;
   t
@@ -402,7 +390,7 @@ let drain_wake t =
   go ()
 
 let run_job t job =
-  (* The chaos/test hook: an artificial pre-exploration delay makes
+  (* The test hook: an artificial pre-exploration delay makes
      "kill the client mid-job" and "fill the queue" deterministic.  It
      polls the cancel flag so a dead client doesn't hold the executor
      for the full delay. *)

@@ -22,22 +22,20 @@ type config = {
   sc_fsync : Journal.fsync_policy option;  (** [None]: journal default *)
   sc_queue_bound : int;
       (** cold-queue capacity; submissions past it are shed.  Memo hits
-          never enter the queue — they cost no exploration *)
+          never enter the queue — they cost no exploration.  It also
+          sets the overload state machine's watermarks: at a depth of
+          [max 1 (3/4 of the bound)] bronze submissions shed and
+          gold/silver are demoted one QoS rung (verdicts marked
+          [degraded]); pressure is released at
+          [min (high - 1) (1/4 of the bound)] (hysteresis, so the state
+          can't flap) *)
   sc_jobs : int;  (** domains per exploration (not concurrent jobs) *)
   sc_signals : bool;
       (** install SIGTERM/SIGINT drain handlers (off for in-process
-          servers inside tests and the chaos harness) *)
+          servers inside tests and the bench) *)
   sc_job_delay_s : float;
-      (** artificial pre-exploration delay per job — the chaos/test
-          hook that makes mid-job kills and queue overflow
-          deterministic *)
-  sc_overload_high : int;
-      (** cold-queue depth at which the overload state machine declares
-          pressure: bronze submissions shed, gold/silver demoted one
-          QoS rung (verdicts marked [degraded]) *)
-  sc_overload_low : int;
-      (** depth at which pressure is released (hysteresis: strictly
-          below [sc_overload_high], so the state can't flap) *)
+      (** artificial pre-exploration delay per job — the test hook
+          that makes mid-job kills and queue overflow deterministic *)
   sc_rate : (float * int) option;
       (** per-client token bucket [(rate_per_s, burst)]; [None]
           disables rate limiting.  A client past its bucket is answered
@@ -51,16 +49,13 @@ val config :
   ?jobs:int ->
   ?signals:bool ->
   ?job_delay_s:float ->
-  ?overload_high:int ->
-  ?overload_low:int ->
   ?rate:float * int ->
   socket:string ->
   journal_dir:string ->
   unit ->
   config
 (** Defaults: no resume, journal-default fsync, queue bound 16, 1
-    domain, signals installed, no delay, watermarks at
-    3/4 and 1/4 of the queue bound, no rate limit. *)
+    domain, signals installed, no delay, no rate limit. *)
 
 type t
 

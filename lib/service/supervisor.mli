@@ -22,7 +22,7 @@ type config = {
   sv_backoff_seed : int;  (** jitter seed (deterministic schedules) *)
   sv_pidfile : string option;
       (** write the current child's pid here after each spawn — how the
-          chaos harness (and an operator's [kill]) finds the daemon
+          CI soak drill (and an operator's [kill]) finds the daemon
           under the supervisor *)
   sv_log : string -> unit;  (** one line per supervision event *)
 }

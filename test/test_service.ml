@@ -1,12 +1,18 @@
-(* The verification service (docs/SERVICE.md): the wire JSON layer,
-   protocol parsing (malformed frames are structured protocol-error
-   crashes, never exceptions), the journal's ledger lookup — including
-   the torn-tail case, which must forget the verdict rather than serve
-   a stale one — and the daemon end to end: cold vs memoized verdicts,
-   memo hits answered beside a busy executor, concurrent same-digest
-   dedup (one exploration, N identical verdicts), queue shedding,
-   graceful drain, disconnect cancellation, and crash-safe resume of
-   in-flight ledger jobs and of the verdict table. *)
+(* The verification service (docs/SERVICE.md): the wire JSON layer
+   (including float printing), protocol parsing (malformed frames are
+   structured protocol-error crashes, never exceptions), the journal's
+   ledger lookup — including the torn-tail case, which must forget the
+   verdict rather than serve a stale one — and the daemon end to end:
+   cold vs memoized verdicts, memo hits answered beside a busy executor,
+   concurrent same-digest dedup (one exploration, N identical verdicts),
+   queue shedding, graceful drain, and crash-safe resume of in-flight
+   ledger jobs and of the verdict table.
+
+   The daemon's fault scenarios live here too (docs/ROBUSTNESS.md §6):
+   a client killed mid-stream, torn frames on a live connection, an
+   overload flood, syscall faults under the journal, and a partition
+   that the retrying client heals.  Process deaths (daemon and
+   supervisor kills) are CI drills against the real binaries. *)
 
 open Fcsl_core
 module Protocol = Fcsl_service.Protocol
@@ -32,13 +38,13 @@ let fresh_dir tag =
 (* An in-process daemon on a fresh (or given) journal.  [jobs] stays 1:
    the service suite must not be the reason the test binary spawns
    domains. *)
-let with_server ?(resume = false) ?queue_bound ?(job_delay_s = 0.)
-    ?overload_high ?overload_low ?rate ?dir ~tag f =
+let with_server ?(resume = false) ?queue_bound ?(job_delay_s = 0.) ?rate ?dir
+    ~tag f =
   let dir = match dir with Some d -> d | None -> fresh_dir tag in
   let socket = tmp_base (tag ^ "-sock") ^ ".sock" in
   let cfg =
     Server.config ~resume ?queue_bound ~jobs:1 ~signals:false ~job_delay_s
-      ?overload_high ?overload_low ?rate ~socket ~journal_dir:dir ()
+      ?rate ~socket ~journal_dir:dir ()
   in
   let t = Server.create cfg in
   let th = Thread.create Server.run t in
@@ -68,6 +74,25 @@ let await_record ?(timeout_s = 60.) dir pred =
           end
   in
   go ()
+
+(* A verdict frame with its timings stripped, as a string. *)
+let canon frame = Json.to_string (Protocol.canonical_verdict frame)
+
+(* The fault-free verdict of a Table 1 row, rendered through the wire
+   path the daemon uses so that daemon verdicts compare canonically.
+   Compute it before starting a daemon: the daemon's executor and this
+   call read the one process-global engine. *)
+let baseline_canon case =
+  match Fcsl_report.Registry.find case with
+  | None -> failf "no registry row %s" case
+  | Some c -> (
+    let frame =
+      Protocol.verdict ~job:0 ~case ~digest:"" ~memo:false ~fresh_units:0
+        ~cancelled:false ~reports:(c.Fcsl_report.Registry.c_verify ()) ()
+    in
+    match Json.parse frame with
+    | Ok v -> canon v
+    | Error e -> failf "unrenderable baseline verdict: %s" e)
 
 (* --- wire JSON ------------------------------------------------------- *)
 
@@ -345,8 +370,7 @@ let test_concurrent_same_digest () =
       let canons =
         Array.to_list results
         |> List.map (function
-             | Ok v ->
-               Json.to_string (Protocol.canonical_verdict v.Client.v_frame)
+             | Ok v -> canon v.Client.v_frame
              | Error e -> failf "concurrent submit: %a" Client.pp_submit_error e)
       in
       (match canons with
@@ -432,7 +456,13 @@ let test_drain_finishes_then_sheds () =
         check "in-flight work still completed" true (v.Client.v_status = 0)
       | _ -> failf "the draining daemon dropped in-flight work")
 
+(* A client killed mid-stream: the daemon cancels the orphaned job
+   through the budget's cancel probe, settles it in the ledger as
+   cancelled (never as a memoizable verdict), stays responsive, and
+   re-explores a fresh resubmission to exactly the baseline verdict.
+   The delay keeps the job pre-exploration while the disconnect lands. *)
 let test_disconnect_cancels () =
+  let expect = baseline_canon "CAS-lock" in
   with_server ~tag:"cancel" ~job_delay_s:0.5 (fun ~socket ~dir ->
       let c1 = Client.connect ~socket in
       Client.send c1 (Protocol.Submit { case = "CAS-lock"; qos = Protocol.Gold });
@@ -442,7 +472,7 @@ let test_disconnect_cancels () =
       Client.abandon c1;
       (* the orphan settles as cancelled in the ledger *)
       let deadline = Unix.gettimeofday () +. 15. in
-      let rec tier () =
+      let rec tiers () =
         let records, _ = Journal.read dir in
         match
           List.filter_map
@@ -453,24 +483,27 @@ let test_disconnect_cancels () =
               | _ -> None)
             records
         with
-        | t :: _ -> Some t
-        | [] ->
-          if Unix.gettimeofday () > deadline then None
-          else begin
-            Thread.delay 0.05;
-            tier ()
-          end
+        | [] when Unix.gettimeofday () < deadline ->
+          Thread.delay 0.05;
+          tiers ()
+        | ts -> ts
       in
-      (match tier () with
-      | Some t -> check "settled as cancelled, not memoizable" true
-          (t = "service-cancelled")
-      | None -> failf "orphaned job never settled");
+      (match tiers () with
+      | [] -> failf "orphaned job never settled"
+      | t :: _ as ts ->
+        check "settled as cancelled, not memoizable" true
+          (t = "service-cancelled");
+        check "no memoizable verdict was journaled" false
+          (List.mem "service" ts));
       (* a fresh client re-explores to a real verdict *)
       let c2 = Client.connect ~socket in
+      check "daemon answers a ping after the client kill" true (Client.ping c2);
       (match Client.submit c2 ~case:"CAS-lock" with
       | Ok v ->
         check "resubmission re-explores" false v.Client.v_memo;
-        check "resubmission verdict ok" true (v.Client.v_status = 0)
+        check "resubmission verdict ok" true (v.Client.v_status = 0);
+        check "resubmission verdict equals the baseline" true
+          (canon v.Client.v_frame = expect)
       | Error e -> failf "resubmit: %a" Client.pp_submit_error e);
       Client.close c2)
 
@@ -538,12 +571,24 @@ let test_health_and_ready () =
       | Error e -> failf "ready while draining: %a" Client.pp_submit_error e);
       Client.close cn)
 
-(* Overload: past the high watermark bronze sheds, gold is admitted but
-   demoted one rung with the verdict marked degraded — and the demoted
-   verdict is never served from the memo (no phantom full-QoS verdict). *)
+(* Overload: a queue bound of 2 derives watermarks 1 and 0, so one
+   queued job declares overload and only an empty queue releases it.
+   Under pressure bronze sheds with a structured reason, a memo hit is
+   answered at once and never shed, and gold is admitted but demoted
+   one rung with the verdict marked degraded.  The demoted verdict is
+   never served from the memo (no phantom full-QoS verdict): a fresh
+   gold submission re-explores to exactly the baseline.  Shed decisions
+   are journaled and surfaced in health. *)
 let test_overload_demotes_and_sheds () =
-  with_server ~tag:"overload" ~job_delay_s:0.4 ~queue_bound:8
-    ~overload_high:1 ~overload_low:0 (fun ~socket ~dir ->
+  let expect = baseline_canon "CAS-lock" in
+  with_server ~tag:"overload" ~job_delay_s:0.4 ~queue_bound:2
+    (fun ~socket ~dir ->
+      (* a gold verdict in the memo before any pressure *)
+      let c0 = Client.connect ~socket in
+      (match Client.submit ~timeout_s:60. c0 ~case:"Seq. stack" with
+      | Ok _ -> ()
+      | Error e -> failf "priming submit: %a" Client.pp_submit_error e);
+      Client.close c0;
       (* two bronze fillers: one runs, one queues past the watermark *)
       let fillers =
         List.map
@@ -565,6 +610,13 @@ let test_overload_demotes_and_sheds () =
       | Ok _ -> failf "bronze was admitted past the watermark"
       | Error e -> failf "wanted an overload shed, got %a" Client.pp_submit_error e);
       Client.close shed_cn;
+      (* a memo hit never waits for the executor, so the overload the
+         fillers set still holds for the gold submission below *)
+      let memo_cn = Client.connect ~socket in
+      (match Client.submit ~timeout_s:60. memo_cn ~case:"Seq. stack" with
+      | Ok v -> check "memo hit answered under overload" true v.Client.v_memo
+      | Error e -> failf "memo hit under overload: %a" Client.pp_submit_error e);
+      Client.close memo_cn;
       (* gold under pressure: admitted, demoted, marked degraded *)
       let gold_cn = Client.connect ~socket in
       (match Client.submit ~timeout_s:60. gold_cn ~case:"CAS-lock" with
@@ -585,7 +637,9 @@ let test_overload_demotes_and_sheds () =
         check "demoted verdict is not a memo hit" false v.Client.v_memo;
         check "full-QoS verdict not marked degraded" true
           (Option.bind (Json.member "degraded" v.Client.v_frame) Json.to_bool
-          = Some false));
+          = Some false);
+        check "full-QoS verdict equals the baseline" true
+          (canon v.Client.v_frame = expect));
       (* shed decisions are journaled (and survive as ledger records) *)
       let records, _ = Journal.read dir in
       check "the shed was journaled" true
@@ -663,60 +717,163 @@ let test_submit_retry_first_attempt () =
 
 (* --- journal syscall faults ------------------------------------------ *)
 
-(* The wounded-journal contract at unit scale: the first injected write
-   fault flips [io_failure] to a structured [Io_fault], later appends
-   are disk no-ops that never raise, and in-memory lookups keep
-   answering for this process. *)
-let test_journal_wounded_by_enospc () =
-  let dir = fresh_dir "wound" in
-  let budget = ref 512 in
-  let io =
-    {
-      Journal.io_write =
-        (fun fd s pos len ->
-          if !budget - len < 0 then
-            raise (Unix.Unix_error (Unix.ENOSPC, "write", "test"))
-          else begin
-            let k = Journal.real_io.Journal.io_write fd s pos len in
-            budget := !budget - k;
-            k
-          end);
-      io_fsync = Journal.real_io.Journal.io_fsync;
-      io_rename = Journal.real_io.Journal.io_rename;
-    }
-  in
-  let j = Journal.openj ~io ~fsync:Journal.Always ~resume:false dir in
+(* [Journal.io]s over the real syscalls with one fault armed; [raised]
+   counts the faults they inject.  The first raises [err] from write
+   once [budget] bytes have gone through. *)
+let faulty_write_io ~budget ~err raised =
+  let written = ref 0 in
+  {
+    Journal.real_io with
+    Journal.io_write =
+      (fun fd s pos len ->
+        if !written + len > budget then begin
+          incr raised;
+          raise (Unix.Unix_error (err, "write", "test"))
+        end
+        else begin
+          let k = Journal.real_io.Journal.io_write fd s pos len in
+          written := !written + k;
+          k
+        end);
+  }
+
+(* fsync raises EIO after [allow] successes. *)
+let faulty_fsync_io ~allow raised =
   let n = ref 0 in
-  while Journal.io_failure j = None && !n < 100 do
-    Journal.append j
-      (Journal.Spec_done
-         (ledger_image
-            ~spec:(Printf.sprintf "job/w%d" !n)
-            ~params:(Printf.sprintf "digest-w%d" !n)
-            ()));
-    incr n
+  {
+    Journal.real_io with
+    Journal.io_fsync =
+      (fun fd ->
+        incr n;
+        if !n > allow then begin
+          incr raised;
+          raise (Unix.Unix_error (Unix.EIO, "fsync", "test"))
+        end
+        else Journal.real_io.Journal.io_fsync fd);
+  }
+
+(* At most [cap] bytes per write call: no fault at all, just a kernel
+   the journal's write loop must tolerate. *)
+let short_write_io ~cap _raised =
+  {
+    Journal.real_io with
+    Journal.io_write =
+      (fun fd s pos len ->
+        Journal.real_io.Journal.io_write fd s pos (min cap len));
+  }
+
+let rename_fault_io raised =
+  {
+    Journal.real_io with
+    Journal.io_rename =
+      (fun _ _ ->
+        incr raised;
+        raise (Unix.Unix_error (Unix.EIO, "rename", "test")));
+  }
+
+(* A ledger verdict distinguishable per index, so a recovered record
+   that was flipped or cross-wired cannot match its original. *)
+let fault_record i =
+  {
+    (ledger_image
+       ~spec:(Printf.sprintf "job/w%d" i)
+       ~params:(Printf.sprintf "digest-w%d" i)
+       ())
+    with
+    Journal.ri_outcomes = i + 1;
+    ri_states = (i + 1) * 10;
+  }
+
+(* Append verdicts through the faulty [io] until the journal is wounded
+   (or [n] records are in), then check the whole contract: the first
+   injected fault wounds the journal with a structured [Io_fault] and
+   nothing touches the disk after it (exactly one fault raised), later
+   appends never raise and stay visible in memory, every verdict this
+   process appended still answers unchanged, and a real-io reopen
+   recovers a non-empty verbatim prefix: lost records are re-verified
+   (lookup [None]), never flipped or invented. *)
+let journal_fault_scenario ~name ~io ~wound ?(n = 50) ?(after = ignore) () =
+  let what msg = name ^ ": " ^ msg in
+  let raised = ref 0 in
+  let dir = fresh_dir "wound" in
+  let j =
+    Journal.openj ~io:(io raised) ~fsync:Journal.Always ~resume:false dir
+  in
+  let written = ref [] in
+  while Journal.io_failure j = None && List.length !written < n do
+    let r = fault_record (List.length !written) in
+    Journal.append j (Journal.Spec_done r);
+    written := r :: !written
   done;
-  (match Journal.io_failure j with
+  after j;
+  let written = List.rev !written in
+  let fault = Journal.io_failure j in
+  (match fault with
   | Some c ->
-    check "wounded with a structured io-fault" true
-      (Crash.kind c = Crash.Io_fault)
-  | None -> failf "the write fault never wounded the journal");
+    check (what "wounded with a structured io-fault") true
+      (wound && Crash.kind c = Crash.Io_fault)
+  | None -> check (what "the injected fault wounded the journal") false wound);
   (* appends after the wound: no exception, index still answers *)
-  Journal.append j
-    (Journal.Spec_done (ledger_image ~spec:"job/after" ~params:"digest-after" ()));
-  check "post-wound append is visible in memory" true
-    (Option.is_some
-       (Journal.find_spec_done j ~spec:"job/after" ~params:"digest-after"));
+  let extra = fault_record 999 in
+  Journal.append j (Journal.Spec_done extra);
+  let lookup j (r : Journal.report_image) =
+    Journal.find_spec_done j ~spec:r.Journal.ri_spec ~params:r.Journal.ri_params
+  in
+  check (what "post-wound append is visible in memory") true
+    (lookup j extra = Some extra);
+  List.iter
+    (fun r ->
+      check (what (r.Journal.ri_spec ^ " answers unchanged in memory")) true
+        (lookup j r = Some r))
+    written;
   Journal.flush j;
   Journal.close j;
+  Alcotest.(check int)
+    (what "one fault wounds; nothing touches the disk after it")
+    (if wound then 1 else 0)
+    !raised;
   (* a real-io reopen recovers a clean prefix and forgets the rest *)
+  let persisted = if wound then written else written @ [ extra ] in
   let j2 = Journal.openj ~resume:true dir in
-  check "the post-wound record was never persisted" true
-    (Journal.find_spec_done j2 ~spec:"job/after" ~params:"digest-after" = None);
-  check "a persisted prefix survived" true
-    (Option.is_some
-       (Journal.find_spec_done j2 ~spec:"job/w0" ~params:"digest-w0"));
-  Journal.close j2
+  let recovered =
+    List.filter_map
+      (function Journal.Spec_done r -> Some r | _ -> None)
+      (Journal.recovered j2)
+  in
+  if wound then
+    check (what "the post-wound record was never persisted") true
+      (lookup j2 extra = None);
+  Journal.close j2;
+  let rec prefix = function
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | r :: rs, w :: ws -> r = w && prefix (rs, ws)
+  in
+  check (what "recovered records are a verbatim prefix") true
+    (prefix (recovered, persisted));
+  check (what "a persisted prefix survived") true (recovered <> []);
+  if not wound then
+    Alcotest.(check int) (what "nothing lost without a fault")
+      (List.length persisted) (List.length recovered)
+
+(* The wounded-journal contract under each syscall fault the journal
+   can meet: ENOSPC and EIO mid-append, a failing fsync, short writes
+   (no fault) and a failing rename while compacting. *)
+let test_journal_wounded_by_enospc () =
+  journal_fault_scenario ~name:"enospc-mid-append"
+    ~io:(faulty_write_io ~budget:512 ~err:Unix.ENOSPC)
+    ~wound:true ();
+  journal_fault_scenario ~name:"eio-write"
+    ~io:(faulty_write_io ~budget:1024 ~err:Unix.EIO)
+    ~wound:true ();
+  journal_fault_scenario ~name:"fsync-eio" ~io:(faulty_fsync_io ~allow:6)
+    ~wound:true ();
+  journal_fault_scenario ~name:"short-writes" ~io:(short_write_io ~cap:7)
+    ~wound:false ~n:12 ();
+  (* writes succeed; only folding the WAL into the snapshot hits the
+     rename fault, which must wound, not corrupt *)
+  journal_fault_scenario ~name:"rename-compaction" ~io:rename_fault_io
+    ~wound:true ~n:12 ~after:Journal.compact ()
 
 (* --- the verdict table --------------------------------------------- *)
 
@@ -781,7 +938,8 @@ let test_resume_keys_ledger_by_digest () =
 
 (* A daemon resumed on a journal that holds a finished digest answers
    it from the verdict table: acked as cached, a memo verdict with no
-   fresh units, and not one record appended to the journal. *)
+   fresh units, and not one record appended to the journal.  Its health
+   frame, like a supervised restart's, carries a numeric uptime. *)
 let test_resume_serves_table () =
   let dir = fresh_dir "resume-table" in
   with_server ~dir ~tag:"resume-table-a" (fun ~socket ~dir:_ ->
@@ -821,6 +979,13 @@ let test_resume_serves_table () =
         (Option.bind (Json.member "memo" verdict) Json.to_bool = Some true);
       check "verdict adds no units" true
         (Option.bind (Json.member "fresh_units" verdict) Json.to_int = Some 0);
+      (match Client.health cn with
+      | Ok frame ->
+        check "the resumed daemon reports a numeric uptime" true
+          (match Option.bind (Json.member "uptime_s" frame) Json.to_float with
+          | Some u -> u >= 0.
+          | None -> false)
+      | Error e -> failf "health: %a" Client.pp_submit_error e);
       Client.close cn;
       check "the journal gained no ledger verdict and no unit" true
         (on_disk () = before))
@@ -866,6 +1031,207 @@ let test_shed_ledger_total () =
   Alcotest.(check (option int))
     "the journal's shed ledger totals the health frame's count" reported
     (Some (Server.shed_total_of_records records))
+
+(* --- torn frames, partitions, float printing --------------------------- *)
+
+(* Garbage fed to the daemon, one frame per failure class of the
+   protocol parser plus raw non-JSON bytes. *)
+let torn_lines =
+  [
+    "{\"op\": \"submit\", \"ca";
+    "\001\002\255 binary garbage";
+    "[1, 2, 3]";
+    "{\"op\": \"frobnicate\"}";
+    "{\"op\": \"submit\"}";
+    "{\"op\": \"submit\", \"case\": \"CAS-lock\", \"qos\": \"platinum\"}";
+    "{\"op\": \"cancel\"}";
+    "{\"msg\": \"no op at all\"}";
+  ]
+
+(* Every garbage line comes back as a structured protocol-error crash
+   frame, never a hang, a dropped connection or a daemon crash; so does
+   a well-formed submit of an unknown case; and the same connection
+   keeps serving well-formed traffic with the baseline verdict. *)
+let test_torn_frames () =
+  let expect = baseline_canon "CAS-lock" in
+  with_server ~tag:"torn-frames" (fun ~socket ~dir:_ ->
+      let cn = Client.connect ~socket in
+      List.iter
+        (fun line ->
+          Client.send_raw cn line;
+          match Client.read_frame ~timeout_s:10. cn with
+          | Error e -> failf "no answer to torn frame %S: %s" line e
+          | Ok frame ->
+            let str k v = Option.bind (Json.member k v) Json.to_str in
+            check
+              (Printf.sprintf "%S answered with a protocol-error crash" line)
+              true
+              (str "type" frame = Some "error"
+              && Option.bind (Json.member "crash" frame) (str "kind")
+                 = Some "protocol-error"))
+        torn_lines;
+      (match Client.submit cn ~case:"No Such Case" with
+      | Error (Client.Server_error c) ->
+        check "unknown case is a protocol-error" true
+          (Crash.kind c = Crash.Protocol_error)
+      | Error e ->
+        failf "unknown case: wanted a protocol-error, got %a"
+          Client.pp_submit_error e
+      | Ok _ -> failf "unknown case: got a verdict");
+      check "daemon answers pings after the garbage" true (Client.ping cn);
+      (match Client.submit cn ~case:"CAS-lock" with
+      | Ok v ->
+        check "verdict after garbage equals the baseline" true
+          (canon v.Client.v_frame = expect)
+      | Error e ->
+        failf "well-formed submit after garbage: %a" Client.pp_submit_error e);
+      Client.close cn)
+
+(* A Unix-socket proxy in front of [back]: its first connection is
+   forwarded only up to the daemon's ack frame, held until
+   [wait_complete] returns, then severed; every later connection is a
+   transparent pass-through.  Returns the function that stops it. *)
+let partition_proxy ~front ~back ~wait_complete =
+  let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind srv (Unix.ADDR_UNIX front);
+  Unix.listen srv 8;
+  let pump src dst =
+    let buf = Bytes.create 4096 in
+    let rec go () =
+      match Unix.read src buf 0 (Bytes.length buf) with
+      | 0 -> ()
+      | k ->
+        let rec put off =
+          if off < k then put (off + Unix.write dst buf off (k - off))
+        in
+        put 0;
+        go ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    (try go () with _ -> ());
+    try Unix.shutdown dst Unix.SHUTDOWN_SEND with _ -> ()
+  in
+  (* byte-at-a-time up to the first newline, so the verdict can never
+     ride the same read as the ack *)
+  let pump_first_line_then_cut src dst =
+    let b = Bytes.create 1 in
+    let rec go () =
+      match Unix.read src b 0 1 with
+      | 0 -> ()
+      | _ ->
+        ignore (Unix.write dst b 0 1);
+        if Bytes.get b 0 <> '\n' then go ()
+    in
+    (try go () with _ -> ());
+    wait_complete ();
+    (try Unix.close src with _ -> ());
+    try Unix.close dst with _ -> ()
+  in
+  let nconn = ref 0 in
+  let stopping = ref false in
+  let rec accept_loop () =
+    match Unix.accept srv with
+    | exception _ -> ()
+    | cfd, _ when !stopping -> ( try Unix.close cfd with _ -> ())
+    | cfd, _ ->
+      incr nconn;
+      let first = !nconn = 1 in
+      let bfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      (match Unix.connect bfd (Unix.ADDR_UNIX back) with
+      | exception _ ->
+        (try Unix.close cfd with _ -> ());
+        (try Unix.close bfd with _ -> ())
+      | () ->
+        ignore (Thread.create (fun () -> pump cfd bfd) ());
+        ignore
+          (Thread.create
+             (fun () ->
+               if first then pump_first_line_then_cut bfd cfd else pump bfd cfd)
+             ()));
+      accept_loop ()
+  in
+  let th = Thread.create accept_loop () in
+  fun () ->
+    stopping := true;
+    (* closing the listening fd does not wake a blocked [accept]; a
+       throwaway connection does *)
+    (try
+       let w = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+       (try Unix.connect w (Unix.ADDR_UNIX front) with _ -> ());
+       Unix.close w
+     with _ -> ());
+    Thread.join th;
+    (try Unix.close srv with _ -> ());
+    try Unix.unlink front with _ -> ()
+
+(* The retrying client against a partition exactly where the server
+   has journaled the verdict but the client never heard it: the retry
+   reconnects after a backoff, resubmits idempotently (same params
+   digest) and is served from the memo, with the baseline verdict and
+   one exploration in total. *)
+let test_retry_across_partition () =
+  let expect = baseline_canon "CAS-lock" in
+  with_server ~tag:"partition" ~job_delay_s:0.2 (fun ~socket ~dir ->
+      let front = socket ^ ".part" in
+      let wait_complete () =
+        ignore
+          (await_record ~timeout_s:20. dir (function
+            | Journal.Spec_done ri ->
+              ri.Journal.ri_spec = ledger "CAS-lock"
+              && ri.Journal.ri_tier = "service"
+            | _ -> false))
+      in
+      let stop = partition_proxy ~front ~back:socket ~wait_complete in
+      Fun.protect ~finally:stop (fun () ->
+          match
+            Client.submit_retry ~retries:3 ~retry_budget_s:60.
+              ~attempt_timeout_s:30. ~backoff_base_s:0.05 ~socket:front
+              ~case:"CAS-lock" ()
+          with
+          | Error e -> failf "retrying submit: %a" Client.pp_submit_error e
+          | Ok rv ->
+            let v = rv.Client.rv_verdict in
+            check "the partition forced a retry" true (rv.Client.rv_attempts >= 2);
+            check "the retry was served from the memo" true v.Client.v_memo;
+            check "retried verdict equals the baseline" true
+              (canon v.Client.v_frame = expect);
+            check "a backoff was slept between attempts" true
+              (rv.Client.rv_backoff_s > 0.)))
+
+(* Floats print as the shortest digits that read back to the same bits,
+   and the values JSON cannot spell print as null. *)
+let test_json_floats () =
+  let bits f = Int64.bits_of_float f in
+  let round_trips f =
+    match Json.parse (Json.to_string (Json.Float f)) with
+    | Ok v -> (
+      match Json.to_float v with Some g -> bits g = bits f | None -> false)
+    | Error _ -> false
+  in
+  List.iter
+    (fun (f, lit) ->
+      Alcotest.(check string) lit lit (Json.to_string (Json.Float f));
+      check (lit ^ " reads back bit-equal") true (round_trips f))
+    [ (0.08, "0.08"); (0.1, "0.1"); (-0.0, "-0.0"); (1e-7, "1e-07") ];
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "non-finite prints as null" "null"
+        (Json.to_string (Json.Float f)))
+    [ nan; infinity; neg_infinity ];
+  let decimal =
+    QCheck2.Gen.(
+      map2
+        (fun m e -> Float.of_int m *. (10. ** Float.of_int e))
+        (int_range (-999_999) 999_999)
+        (int_range (-12) 12))
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:2000 ~name:"finite floats round-trip bit-equal"
+       ~print:(Printf.sprintf "%h")
+       QCheck2.Gen.(oneof [ float; decimal ])
+       (fun f ->
+         QCheck2.assume (Float.is_finite f);
+         round_trips f))
 
 let suite =
   [
@@ -917,4 +1283,10 @@ let suite =
       test_resume_serves_table;
     Alcotest.test_case "serve: shed ledger total matches health" `Quick
       test_shed_ledger_total;
+    Alcotest.test_case "serve: torn frames answered, connection kept" `Quick
+      test_torn_frames;
+    Alcotest.test_case "client: retry across a partition hits the memo" `Quick
+      test_retry_across_partition;
+    Alcotest.test_case "json: floats print shortest, non-finite as null"
+      `Quick test_json_floats;
   ]
