@@ -393,7 +393,11 @@ let pp_engine_rows ppf rows =
      nothing ever trips;
    - a write-ahead journal under the default group-commit policy
      (Interval 0.05), opened FRESH for every repetition (a reused one
-     would replay completed units and fake a speedup).
+     would replay completed units and fake a speedup).  It is opened
+     before the clock starts and closed (final commit and fsync) and
+     deleted after it stops: a row times what journaling adds to a
+     verification, not creating and syncing a directory, which on rows
+     that verify in milliseconds would dwarf it.
    Verdicts, including the tier, must be identical. *)
 
 type overhead_row = {
@@ -408,19 +412,24 @@ type overhead_row = {
 let overhead_pct ~base x =
   if base > 0. then (x -. base) /. base *. 100. else nan
 
-(* [arm run] runs one verification with the mechanism armed; every
-   repetition arms it afresh.  Three (plain, armed) pairs run back to
-   back and each side keeps its best: the overhead being measured is
-   well under the noise floor of one wall-clock sample, and pairing the
-   sides keeps host drift out of the difference.  Run order within a
-   pair biases it too (with the armed side always second, it read 3-8%
-   faster than plain on the lock rows), so the pairs alternate which
-   side runs first. *)
+(* [arm ()] sets the mechanism up and returns how to run one
+   verification under it and how to release it; every repetition arms
+   it afresh, and only the run is timed.  Three (plain, armed) pairs
+   run back to back and each side keeps its best: the overhead being
+   measured is well under the noise floor of one wall-clock sample, and
+   pairing the sides keeps host drift out of the difference.  Run order
+   within a pair biases it too (with the armed side always second, it
+   read 3-8% faster than plain on the lock rows), so the pairs alternate
+   which side runs first. *)
 let overhead_comparison arm : overhead_row list =
   List.map
     (fun (c : Registry.case) ->
       let plain () = timed c.Registry.c_verify in
-      let armed () = timed (fun () -> arm c.Registry.c_verify) in
+      let armed () =
+        let run, release = arm () in
+        Fun.protect ~finally:release (fun () ->
+            timed (fun () -> run c.Registry.c_verify))
+      in
       let pair i =
         if i mod 2 = 0 then
           let p = plain () in
@@ -442,16 +451,16 @@ let overhead_comparison arm : overhead_row list =
       })
     Registry.all
 
-let budgeted run =
-  Verify.with_engine
-    ~budget:
-      (Budget.limits ~deadline_s:3600.0 ~max_states:max_int
-         ~max_major_words:max_int ())
-    run
+let budgeted () =
+  let budget =
+    Budget.limits ~deadline_s:3600.0 ~max_states:max_int
+      ~max_major_words:max_int ()
+  in
+  ((fun run -> Verify.with_engine ~budget run), ignore)
 
 let journaled =
   let n = ref 0 in
-  fun run ->
+  fun () ->
     incr n;
     let dir =
       Filename.concat
@@ -459,9 +468,13 @@ let journaled =
         (Printf.sprintf "fcsl-bench-journal-%d-%d" (Unix.getpid ()) !n)
     in
     let j = Journal.openj ~fsync:(Journal.Interval 0.05) dir in
-    Fun.protect
-      ~finally:(fun () -> Journal.close j)
-      (fun () -> Verify.with_engine ~journal:(Some j) run)
+    ( (fun run -> Verify.with_engine ~journal:(Some j) run),
+      fun () ->
+        Journal.close j;
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir )
 
 (* [plain] and [armed] head the two time columns; the armed one is at
    least 9 wide. *)

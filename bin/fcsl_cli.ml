@@ -419,6 +419,11 @@ let serve_cmd =
         flush stderr;
         match Unix.fork () with
         | 0 ->
+          (* not the supervisor's stop handler, which would swallow a
+             forwarded SIGTERM: until the server installs its drain
+             handler, a SIGTERM ends the child *)
+          Sys.set_signal Sys.sigterm Sys.Signal_default;
+          Sys.set_signal Sys.sigint Sys.Signal_default;
           let code =
             try
               (* every restarted child resumes: its predecessor died

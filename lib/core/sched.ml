@@ -723,13 +723,16 @@ module Keyer = struct
      the registry; atoms past the cap get fresh (never-matching) ids. *)
   let max_stored = 1 lsl 16
 
+  (* Both tables start at [Hashtbl]'s smallest size and grow with what
+     the exploration registers: one exploration runs per initial state,
+     and most are small (Treiber stack's 515 average about 78 states). *)
   let create () =
     {
-      buckets = Hashtbl.create 256;
+      buckets = Hashtbl.create 16;
       next = 0;
       stored = 0;
       ambiguous = false;
-      kbuckets = Hashtbl.create 256;
+      kbuckets = Hashtbl.create 16;
       world = World.of_list [];
       world_ids = [];
     }
@@ -1012,7 +1015,8 @@ let trace_steps trace = List.rev_map Lazy.force trace
    Either way the replayed outcomes are exactly the naive ones, so
    failure sets, outcome counts and completeness are preserved; only the
    schedule annotations inside crash messages keep their first-discovery
-   trace. *)
+   trace.  The outcomes are stored as checked (see [explore ?check]), so
+   a replay re-emits a final state's verdict instead of re-deciding it. *)
 type 'a memo_entry = {
   e_fuel : int; (* remaining fuel at the recorded visit *)
   e_budget : int; (* env budget at the recorded visit *)
@@ -1057,9 +1061,14 @@ let new_stats () =
    pruned by replaying its recorded outcomes.  Interleavings of
    commuting steps — the diamonds behind the exponential blow-up — reach
    identical configurations at identical depth, so this collapses them
-   while reporting exactly what the naive search reports. *)
+   while reporting exactly what the naive search reports.
+
+   With [check], a [Finished] outcome is checked once, when it is first
+   recorded: [check v st = Some c] records [Crashed c] in its place.  A
+   memo replay re-emits the checked outcome, so the check runs once per
+   discovered final state, not once per path that reaches it. *)
 let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
-    ?(env_budget = max_int) ?(dedup = false) ?budget ?journal ?stats
+    ?(env_budget = max_int) ?(dedup = false) ?budget ?journal ?stats ?check
     (genv0 : genv) (mine0 : Contrib.t) (prog : 'a Prog.t) :
     'a outcome list * bool =
   (* Cooperative budget poll, one per explored configuration.  A trip
@@ -1083,20 +1092,28 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
   let mw0 = match stats with Some _ -> Gc.minor_words () | None -> 0. in
   let outcomes = ref [] in
   let count = ref 0 in
-  let record o =
-    (* Counterexamples are journaled at discovery — before the search
-       (or the process) ends — so a kill never loses found failures. *)
-    (match (o, journal) with
-    | Crashed c, Some w -> Journal.writer_crash w c
-    | _ -> ());
+  let emit o =
     outcomes := o :: !outcomes;
     incr count;
     if !count >= max_outcomes then raise Stop
   in
-  let keyer = Keyer.create () in
-  let memo : 'a memo_entry list ref Memo.t =
-    Memo.create (if dedup then 4096 else 1)
+  (* A discovered outcome.  Counterexamples are journaled at discovery —
+     before the search (or the process) ends — so a kill never loses
+     found failures; a final state is then checked.  Replays [emit]
+     only: the journal already holds their crashes, and their final
+     states are checked. *)
+  let record o =
+    (match (o, journal) with
+    | Crashed c, Some w -> Journal.writer_crash w c
+    | _ -> ());
+    match (o, check) with
+    | Finished (v, st), Some check -> (
+      match check v st with Some c -> emit (Crashed c) | None -> emit o)
+    | _ -> emit o
   in
+  let keyer = Keyer.create () in
+  (* [Hashtbl]'s smallest size, grown with the keys the search stores. *)
+  let memo : 'a memo_entry list ref Memo.t = Memo.create 16 in
   (* Subtree-need accounting: absolute-depth high-water mark, budget
      low-water mark, and whether the fuel limit was hit.  Saved and
      restored around every memoized subtree. *)
@@ -1156,7 +1173,7 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
           (match stats with
           | Some s -> s.es_memo_hits <- s.es_memo_hits + 1
           | None -> ());
-          List.iter record e.e_outs;
+          List.iter emit e.e_outs;
           (* Fold the pruned subtree's needs into the enclosing one's. *)
           if e.e_need_fuel = max_int then fuel_cut := true
           else if depth + e.e_need_fuel > !deepest then

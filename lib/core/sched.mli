@@ -132,7 +132,10 @@ type explore_stats = {
   mutable es_memo_misses : int;  (** configurations explored afresh *)
   mutable es_max_bucket : int;
       (** most distinct configuration keys observed in one memo hash
-          bucket *)
+          bucket.  The memo table starts small and grows with the keys
+          an exploration stores ([Hashtbl] doubles it once they average
+          two per bucket), so this reflects the table's load, not the
+          quality of the hash. *)
   mutable es_minor_words : float;
       (** [Gc.minor_words] allocated during exploration *)
 }
@@ -150,6 +153,7 @@ val explore :
   ?budget:Budget.t ->
   ?journal:Journal.writer ->
   ?stats:explore_stats ->
+  ?check:('a -> State.t -> Crash.t option) ->
   genv ->
   Contrib.t ->
   'a Prog.t ->
@@ -165,6 +169,15 @@ val explore :
     while preserving the failure set and the completeness verdict; crash
     messages keep the schedule of their first discovery.
 
+    With [check] (the caller's postcondition), each [Finished (v, st)]
+    outcome is checked once, when the search first records it, after
+    the journal hook: [check v st = Some c] records [Crashed c] in its
+    place, and [None] keeps the outcome.  The memo stores the checked
+    outcome, and a replay re-emits its verdict without calling [check]
+    or the journal again, so the check runs once per discovered final
+    state.  A [c] made by [check] is never journaled: {!Journal} gets
+    only the crashes the search itself found.
+
     With [budget], one {!Budget.tick} is charged per explored
     configuration; a trip aborts the search through the same path as a
     [max_outcomes] cut (so [complete] is [false] and no truncated memo
@@ -173,9 +186,9 @@ val explore :
 
     With [journal], one {!Journal.writer_tick} is charged per explored
     configuration (appending periodic {!Journal.Frontier} records) and
-    every crash outcome is journaled at discovery as a
+    every crash the search finds is journaled at discovery as a
     {!Journal.Counterexample} — durable evidence that survives a
-    SIGKILL mid-search.
+    SIGKILL mid-search.  Memo replays do not journal again.
 
     With [stats], explored-configuration counts are accumulated into the
     given record.

@@ -389,28 +389,31 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
     (* One stats record per initial state: explorations fan out over
        pool domains, and each run mutates its own. *)
     let stats = Sched.new_stats () in
+    (* The postcondition runs inside the search, once per final state it
+       discovers; a violation comes back as a crash outcome. *)
+    let check r final =
+      if Spec.post spec r st final then None
+      else
+        Some
+          (Crash.make Crash.Postcondition
+             (Fmt.str "postcondition violated in final state %a" State.pp
+                final))
+    in
     let outs, compl =
       Sched.explore ~fuel ~max_outcomes ~interference ~env_budget ~dedup
-        ?budget ?journal:jwriter ~stats genv mine prog
+        ?budget ?journal:jwriter ~stats ~check genv mine prog
     in
     let outcomes = ref 0 in
     let diverged = ref 0 in
     let failures = ref [] in
-    let add_failure crash =
-      if List.length !failures < max_failures then
-        failures := crash :: !failures
-    in
     List.iter
       (fun out ->
         incr outcomes;
         match out with
-        | Sched.Finished (r, final) ->
-          if not (Spec.post spec r st final) then
-            add_failure
-              (Crash.make Crash.Postcondition
-                 (Fmt.str "postcondition violated in final state %a" State.pp
-                    final))
-        | Sched.Crashed c -> add_failure c
+        | Sched.Finished _ -> ()
+        | Sched.Crashed c ->
+          if List.length !failures < max_failures then
+            failures := c :: !failures
         | Sched.Diverged -> incr diverged)
       outs;
     ( {

@@ -16,8 +16,12 @@
 open Fcsl_core
 
 (* 0..3 are the verdict codes ([Verify.exit_ok] .. [exit_internal]);
-   4 is "the supervisor gave up": the restart budget was exhausted. *)
+   4 is "the supervisor gave up": the restart budget was exhausted;
+   5 is "stopped on request while the daemon was down": a SIGTERM or
+   SIGINT came during a restart backoff, or the child it was forwarded
+   to then died non-zero. *)
 let exit_gave_up = 4
+let exit_stopped = 5
 
 type config = {
   sv_restart_limit : int;
@@ -60,21 +64,46 @@ let show_status = function
    flight).  The caller owns the fork, so this module never forks under
    a process that already spawned domains. *)
 let run cfg ~(spawn : restart:bool -> int) : int =
-  (* forward a terminate request to the current child so it drains;
-     the supervisor then sees a clean exit and follows it down *)
+  (* A terminate request is recorded, and forwarded to the current
+     child so it drains; the supervisor then sees a clean exit and
+     follows it down.  Once a request is recorded nothing is spawned
+     again, so a request that lands while no child is alive (a restart
+     backoff) ends supervision instead of being lost. *)
   let child = ref None in
-  let forward signal =
+  let stop = Atomic.make false in
+  let forward () =
     match !child with
-    | Some pid -> ( try Unix.kill pid signal with Unix.Unix_error _ -> ())
+    | Some pid -> ( try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
     | None -> ()
   in
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> forward Sys.sigterm))
+  let request _ =
+    Atomic.set stop true;
+    forward ()
+  in
+  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request)
    with Sys_error _ | Invalid_argument _ -> ());
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> forward Sys.sigterm))
+  (try Sys.set_signal Sys.sigint (Sys.Signal_handle request)
    with Sys_error _ | Invalid_argument _ -> ());
+  let stopped what =
+    cfg.sv_log
+      (Printf.sprintf "supervisor: stop requested %s; not restarting" what);
+    exit_stopped
+  in
+  (* [Unix.sleepf] sleeps out its whole delay around a signal handler,
+     so the backoff sleeps in short slices and wakes on a request. *)
+  let rec pause until =
+    let left = until -. Unix.gettimeofday () in
+    if left > 0. && not (Atomic.get stop) then begin
+      Unix.sleepf (Float.min left 0.05);
+      pause until
+    end
+  in
   let rec loop ~restart ~failures =
     let pid = spawn ~restart in
     child := Some pid;
+    (* a request that came while [spawn] ran found no child to forward
+       to; the server's drain handler makes a second SIGTERM harmless *)
+    if Atomic.get stop then forward ();
     write_pidfile cfg pid;
     cfg.sv_log
       (Printf.sprintf "supervisor: child %d %s" pid
@@ -90,6 +119,8 @@ let run cfg ~(spawn : restart:bool -> int) : int =
     | Unix.WEXITED 0 ->
       cfg.sv_log "supervisor: child drained cleanly";
       0
+    | status when Atomic.get stop ->
+      stopped (Printf.sprintf "and child %s" (show_status status))
     | status ->
       let tnow = Unix.gettimeofday () in
       let failures =
@@ -117,8 +148,9 @@ let run cfg ~(spawn : restart:bool -> int) : int =
         cfg.sv_log
           (Printf.sprintf "supervisor: child %s; restarting in %.2fs"
              (show_status status) delay);
-        Unix.sleepf delay;
-        loop ~restart:true ~failures
+        pause (Unix.gettimeofday () +. delay);
+        if Atomic.get stop then stopped "during the restart backoff"
+        else loop ~restart:true ~failures
       end
   in
   loop ~restart:false ~failures:[]

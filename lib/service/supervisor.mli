@@ -12,6 +12,11 @@ val exit_gave_up : int
     disjoint from the verdict codes 0..3, so orchestrators can tell a
     crash loop from a drained daemon. *)
 
+val exit_stopped : int
+(** The stable exit code (5) for "stopped on request while the daemon
+    was down": a SIGTERM/SIGINT arrived during a restart backoff, or
+    the child it was forwarded to died non-zero instead of draining. *)
+
 type config = {
   sv_restart_limit : int;
       (** give up once this many failures land inside the window *)
@@ -47,5 +52,8 @@ val run : config -> spawn:(restart:bool -> int) -> int
     failure answered with a jittered-backoff restart ([restart:true] —
     the child must resume), until the window fills and the supervisor
     returns {!exit_gave_up}.  SIGTERM/SIGINT to the supervisor are
-    forwarded to the child as SIGTERM (graceful drain), after which the
-    clean exit propagates. *)
+    recorded and forwarded to the child as SIGTERM (graceful drain),
+    after which the clean exit propagates.  Once a request is recorded
+    no child is spawned again: a request during a restart backoff ends
+    the backoff at once, and a request whose child dies non-zero ends
+    supervision; both return {!exit_stopped}. *)

@@ -122,13 +122,81 @@ let test_crash_set () =
   Alcotest.(check int) "outcomes" rn.Verify.outcomes rm.Verify.outcomes;
   Alcotest.(check int) "diverged" rn.Verify.diverged rm.Verify.diverged;
   check "complete" rn.Verify.complete rm.Verify.complete;
+  (* memo replay re-emits outcomes in the naive search's order, so the
+     failures agree in order, not just as a set *)
   let reasons r =
-    List.sort String.compare
-      (List.map
-         (fun f -> strip_sched (Fmt.str "%a" Crash.pp f.Verify.crash))
-         r.Verify.failures)
+    List.map
+      (fun f -> strip_sched (Fmt.str "%a" Crash.pp f.Verify.crash))
+      r.Verify.failures
   in
-  Alcotest.(check (list string)) "crash reasons" (reasons rn) (reasons rm)
+  Alcotest.(check (list string)) "crash reasons" (reasons rn) (reasons rm);
+  (* the refutation is the postcondition's, checked inside the search *)
+  List.iter
+    (fun r ->
+      List.iter
+        (fun f ->
+          check "postcondition crash" true
+            (Crash.kind f.Verify.crash = Crash.Postcondition))
+        r.Verify.failures)
+    [ rn; rm ]
+
+(* The postcondition is checked once per final state the search
+   discovers, not once per path: a memo replay re-emits the verdict.
+   Treiber stack's push || pop, whose final states are mostly reached
+   by replay, verified with and without dedup: the reports agree, and
+   under dedup [Spec.post] runs fewer times than there are [Finished]
+   outcomes (the spec holds, so every outcome that did not diverge
+   finished). *)
+let test_post_once () =
+  let open Treiber in
+  let calls = ref 0 in
+  let spec =
+    Spec.make ~name:"push || pop (counted)"
+      ~pre:(fun st ->
+        Fcsl_pcm.Hist.is_empty (self_hist tb_label st)
+        &&
+        match Aux.as_heap (State.self pv_label st) with
+        | Some h -> Heap.mem node1 h
+        | None -> false)
+      ~post:(fun ((), r) _ f ->
+        incr calls;
+        let ops op =
+          List.length
+            (List.filter
+               (fun e -> String.equal e.Fcsl_pcm.Hist.op op)
+               (Fcsl_pcm.Hist.entries (self_hist tb_label f)))
+        in
+        ops "push" = 1 && ops "pop" = Option.fold ~none:0 ~some:(fun _ -> 1) r)
+  in
+  let run dedup =
+    calls := 0;
+    let r =
+      Verify.with_engine ~dedup (fun () ->
+          Verify.check_triple ~fuel:16 ~env_budget:1 ~world:(world ())
+            ~init:(init_states ())
+            (Prog.par_split
+               (Prog.split_cells ~pv:pv_label ~to_left:[ node1 ] ~to_right:[])
+               (push tb_label pv_label node1 1)
+               (pop tb_label))
+            spec)
+    in
+    (r, !calls)
+  in
+  let rn, naive_calls = run false in
+  let rm, memo_calls = run true in
+  check "verified" true (Verify.ok rm);
+  Alcotest.(check int) "outcomes" rn.Verify.outcomes rm.Verify.outcomes;
+  Alcotest.(check int) "diverged" rn.Verify.diverged rm.Verify.diverged;
+  check "complete" rn.Verify.complete rm.Verify.complete;
+  Alcotest.(check int) "failures" (List.length rn.Verify.failures)
+    (List.length rm.Verify.failures);
+  let finished = rm.Verify.outcomes - rm.Verify.diverged in
+  Alcotest.(check int) "naive checks every finished outcome" finished
+    naive_calls;
+  check
+    (Fmt.str "dedup checks fewer (%d) than finished outcomes (%d)" memo_calls
+       finished)
+    true (memo_calls < finished)
 
 (* The diamond itself: stepping two commuting trymarks in either order
    reaches configurations with equal keys under one keyer. *)
@@ -234,4 +302,6 @@ let suite =
     Alcotest.test_case "commuting-diamond keys" `Quick test_config_key_diamond;
     Alcotest.test_case "check_triple jobs=4 = sequential" `Quick test_jobs_equal;
     prop_random_equiv;
+    Alcotest.test_case "postcondition checked once per final state" `Quick
+      test_post_once;
   ]
