@@ -1,22 +1,28 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 6) and times the mechanized artifacts
-   with bechamel.
+   paper's evaluation (Section 6) and times the mechanized artifacts.
 
-   Structure (one bechamel Test group per table/figure):
+   Micro-benchmarks (bechamel, one Test group each):
 
-   - table1/<program>     verification wall-time of each Table 1 row
-                          (the Build-column analogue)
    - table2/reuse-matrix  computing the concurroid-reuse matrix
    - fig2/span-replay     the deterministic Figure 2 execution
    - fig5/dep-graph       computing the dependency diagram
    - scaling/span-exec:n  executing span on random connected graphs
    - scaling/stability    the stability checker over the SpanTree universe
    - scaling/explore      exhaustive exploration of a racy CAS pair
+   - ablation/*, extension/*  the design choices DESIGN.md calls out
 
-   After the micro-benchmarks, the harness prints the regenerated
-   Table 1 (line counts + verification times + verdicts), Table 2, the
-   Figure 2 stage trace, and Figure 5 — the same rows/series the paper
-   reports. *)
+   Then the engine comparison times each Table 1 row once per engine
+   (naive, memoized, memoized+parallel; BENCH_explore.json), and the
+   service comparison times each row cold and memoized through the
+   daemon (BENCH_serve.json; alone with [--serve-only]).  Last come the
+   regenerated Table 1 (line counts + the memoized sweep's verification
+   times + verdicts), Table 2, the Figure 2 stage trace, and Figure 5 —
+   the same rows/series the paper reports.
+
+   What an armed budget or journal adds to a verification is not timed
+   here: the test "all Table 1 rows verify" states it as counts (one
+   budget tick per explored configuration, one fsync per spec
+   verdict). *)
 
 open Bechamel
 open Toolkit
@@ -26,18 +32,6 @@ open Fcsl_casestudies
 module Aux = Fcsl_pcm.Aux
 module Tables = Fcsl_report.Tables
 module Registry = Fcsl_report.Registry
-
-(* --- Table 1: one benchmark per verified program. --- *)
-
-let table1_tests =
-  List.map
-    (fun (c : Registry.case) ->
-      Test.make ~name:c.Registry.c_name
-        (Staged.stage (fun () ->
-             let reports = c.Registry.c_verify () in
-             if not (List.for_all Verify.ok reports) then
-               failwith (c.Registry.c_name ^ ": verification failed"))))
-    Registry.all
 
 (* --- Table 2 / Figure 5: matrix and diagram computation. --- *)
 
@@ -251,7 +245,6 @@ let extension_tests =
 let all_tests =
   Test.make_grouped ~name:"fcsl" ~fmt:"%s/%s"
     [
-      Test.make_grouped ~name:"table1" ~fmt:"%s/%s" table1_tests;
       Test.make_grouped ~name:"table2" ~fmt:"%s/%s" [ table2_test ];
       Test.make_grouped ~name:"fig2" ~fmt:"%s/%s" [ fig2_test ];
       Test.make_grouped ~name:"fig5" ~fmt:"%s/%s" [ fig5_test ];
@@ -317,7 +310,9 @@ let run_benchmarks () : (string * float * float) list =
    Wall-clock of every Table 1 verification under the three engine
    configurations, with the verdict summaries cross-checked for
    equality (memoized replay is exact; the parallel merge reproduces
-   the sequential accounting). *)
+   the sequential accounting).  Each sweep is a [Tables.table1] run, so
+   the memoized one (the default engine) is also the regenerated
+   Table 1. *)
 
 type engine_row = {
   er_name : string;
@@ -329,7 +324,7 @@ type engine_row = {
 
 let total f rows = List.fold_left (fun a r -> a +. f r) 0. rows
 
-let verdict_summary reports =
+let verdict_summary (row : Tables.row1) =
   List.map
     (fun (r : Verify.report) ->
       ( r.Verify.spec_name,
@@ -338,37 +333,28 @@ let verdict_summary reports =
         r.Verify.outcomes,
         r.Verify.diverged,
         r.Verify.complete ))
-    reports
+    row.Tables.r_reports
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let engine_comparison ~jobs () : engine_row list =
+(* The engine rows, and the memoized sweep's Table 1 rows. *)
+let engine_comparison ~jobs () : engine_row list * Tables.row1 list =
   let sweep ~dedup ~jobs =
-    Verify.with_engine ~dedup ~jobs (fun () ->
-        List.map
-          (fun (c : Registry.case) -> timed c.Registry.c_verify)
-          Registry.all)
+    Verify.with_engine ~dedup ~jobs (fun () -> Tables.table1 ())
   in
   let naive = sweep ~dedup:false ~jobs:1 in
   let dedup = sweep ~dedup:true ~jobs:1 in
   let dedup_par = sweep ~dedup:true ~jobs in
-  List.map2
-    (fun (c : Registry.case) ((rn, tn), ((rd, td), (rp, tp))) ->
-      {
-        er_name = c.Registry.c_name;
-        er_naive = tn;
-        er_dedup = td;
-        er_dedup_par = tp;
-        er_verdicts_equal =
-          verdict_summary rn = verdict_summary rd
-          && verdict_summary rd = verdict_summary rp;
-      })
-    Registry.all
-    (List.map2 (fun a (b, c) -> (a, (b, c))) naive
-       (List.map2 (fun a b -> (a, b)) dedup dedup_par))
+  let row (n : Tables.row1) ((d : Tables.row1), (p : Tables.row1)) =
+    {
+      er_name = n.Tables.r_name;
+      er_naive = n.Tables.r_verify_time;
+      er_dedup = d.Tables.r_verify_time;
+      er_dedup_par = p.Tables.r_verify_time;
+      er_verdicts_equal =
+        verdict_summary n = verdict_summary d
+        && verdict_summary d = verdict_summary p;
+    }
+  in
+  (List.map2 row naive (List.combine dedup dedup_par), dedup)
 
 let pp_engine_rows ppf rows =
   Fmt.pf ppf "%-14s %9s %9s %11s %8s@." "Program" "naive" "memoized"
@@ -383,116 +369,6 @@ let pp_engine_rows ppf rows =
     (total (fun r -> r.er_naive) rows)
     (total (fun r -> r.er_dedup) rows)
     (total (fun r -> r.er_dedup_par) rows)
-
-(* --- Overheads: budget enforcement and journaling (docs/ROBUSTNESS.md). ---
-
-   Every Table 1 verification plain vs with one mechanism armed, each
-   budgeted at < 5%:
-   - a budget whose ceilings are far above any real consumption, so
-     every explored configuration pays the cooperative polling cost and
-     nothing ever trips;
-   - a write-ahead journal under the default group-commit policy
-     (Interval 0.05), opened FRESH for every repetition (a reused one
-     would replay completed units and fake a speedup).  It is opened
-     before the clock starts and closed (final commit and fsync) and
-     deleted after it stops: a row times what journaling adds to a
-     verification, not creating and syncing a directory, which on rows
-     that verify in milliseconds would dwarf it.
-   Verdicts, including the tier, must be identical. *)
-
-type overhead_row = {
-  ov_name : string;
-  ov_plain : float;
-  ov_armed : float;
-  ov_verdicts_equal : bool;
-}
-
-(* Percent slowdown of [x] over [base]; NaN (JSON null) when [base] is
-   zero. *)
-let overhead_pct ~base x =
-  if base > 0. then (x -. base) /. base *. 100. else nan
-
-(* [arm ()] sets the mechanism up and returns how to run one
-   verification under it and how to release it; every repetition arms
-   it afresh, and only the run is timed.  Three (plain, armed) pairs
-   run back to back and each side keeps its best: the overhead being
-   measured is well under the noise floor of one wall-clock sample, and
-   pairing the sides keeps host drift out of the difference.  Run order
-   within a pair biases it too (with the armed side always second, it
-   read 3-8% faster than plain on the lock rows), so the pairs alternate
-   which side runs first. *)
-let overhead_comparison arm : overhead_row list =
-  List.map
-    (fun (c : Registry.case) ->
-      let plain () = timed c.Registry.c_verify in
-      let armed () =
-        let run, release = arm () in
-        Fun.protect ~finally:release (fun () ->
-            timed (fun () -> run c.Registry.c_verify))
-      in
-      let pair i =
-        if i mod 2 = 0 then
-          let p = plain () in
-          (p, armed ())
-        else
-          let a = armed () in
-          (plain (), a)
-      in
-      let pairs = List.init 3 pair in
-      let best side =
-        List.fold_left (fun t r -> Float.min t (snd (side r))) infinity pairs
-      in
-      let (rp, _), (ra, _) = List.hd pairs in
-      {
-        ov_name = c.Registry.c_name;
-        ov_plain = best fst;
-        ov_armed = best snd;
-        ov_verdicts_equal = verdict_summary rp = verdict_summary ra;
-      })
-    Registry.all
-
-let budgeted () =
-  let budget =
-    Budget.limits ~deadline_s:3600.0 ~max_states:max_int
-      ~max_major_words:max_int ()
-  in
-  ((fun run -> Verify.with_engine ~budget run), ignore)
-
-let journaled =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fcsl-bench-journal-%d-%d" (Unix.getpid ()) !n)
-    in
-    let j = Journal.openj ~fsync:(Journal.Interval 0.05) dir in
-    ( (fun run -> Verify.with_engine ~journal:(Some j) run),
-      fun () ->
-        Journal.close j;
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir )
-
-(* [plain] and [armed] head the two time columns; the armed one is at
-   least 9 wide. *)
-let pp_overhead_rows ~plain ~armed ppf rows =
-  let w = max 8 (String.length armed) in
-  Fmt.pf ppf "%-14s %11s %*s %9s %8s@." "Program" plain (w + 1) armed
-    "overhead" "verdicts";
-  List.iter
-    (fun r ->
-      Fmt.pf ppf "%-14s %10.3fs %*.3fs %8.1f%% %8s@." r.ov_name r.ov_plain w
-        r.ov_armed
-        (overhead_pct ~base:r.ov_plain r.ov_armed)
-        (if r.ov_verdicts_equal then "equal" else "DIFFER"))
-    rows;
-  let tp = total (fun r -> r.ov_plain) rows in
-  let ta = total (fun r -> r.ov_armed) rows in
-  Fmt.pf ppf "%-14s %10.3fs %*.3fs %8.1f%%@." "TOTAL" tp w ta
-    (overhead_pct ~base:tp ta)
 
 (* --- The BENCH_*.json records: one [Json.t] each, printed once. --- *)
 
@@ -531,41 +407,6 @@ let write_bench_json ~path ~jobs (bench_rows : (string * float * float) list)
                ("jobs", Json.Int jobs);
                ("cases", Json.Arr (List.map engine engine_rows));
              ] );
-       ])
-
-(* --- BENCH_robust.json and BENCH_journal.json: the overhead records. ---
-
-   Both have one shape: per case the plain and the armed wall time, the
-   overhead and whether the verdicts matched, then the totals.  Only
-   the key names differ. *)
-
-let write_overhead_json ~path ~section ~plain ~armed ?(extra = []) rows =
-  let case r =
-    Json.Obj
-      [
-        ("name", Json.Str r.ov_name);
-        (plain, Json.Float r.ov_plain);
-        (armed, Json.Float r.ov_armed);
-        ( "overhead_pct",
-          Json.Float (overhead_pct ~base:r.ov_plain r.ov_armed) );
-        ("verdicts_equal", Json.Bool r.ov_verdicts_equal);
-      ]
-  in
-  let tp = total (fun r -> r.ov_plain) rows in
-  let ta = total (fun r -> r.ov_armed) rows in
-  write_json path
-    (Json.Obj
-       [
-         ( section,
-           Json.Obj
-             ((("target_pct", Json.Float 5.0) :: extra)
-             @ [
-                 ("cases", Json.Arr (List.map case rows));
-                 ("total_" ^ plain, Json.Float tp);
-                 ("total_" ^ armed, Json.Float ta);
-                 ( "total_overhead_pct",
-                   Json.Float (overhead_pct ~base:tp ta) );
-               ]) );
        ])
 
 (* --- The regenerated evaluation artifacts. --- *)
@@ -637,37 +478,19 @@ let print_figure2 () =
   | _ -> Fmt.pr "  replay failed@.");
   Fmt.pr "@."
 
-let run_robust () =
-  Fmt.pr "== Budget-enforcement overhead: armed but untripped ==@.";
-  let rows = overhead_comparison budgeted in
-  Fmt.pr "%a@." (pp_overhead_rows ~plain:"unbudgeted" ~armed:"armed") rows;
-  write_overhead_json ~path:"BENCH_robust.json" ~section:"budget_overhead"
-    ~plain:"unbudgeted_s" ~armed:"armed_s" rows;
-  Fmt.pr "wrote BENCH_robust.json@.@."
-
-let run_journal () =
-  Fmt.pr "== Journal-armed overhead: write-ahead journaling on vs off ==@.";
-  let rows = overhead_comparison journaled in
-  Fmt.pr "%a@."
-    (pp_overhead_rows ~plain:"unjournaled" ~armed:"journaled")
-    rows;
-  write_overhead_json ~path:"BENCH_journal.json" ~section:"journal_overhead"
-    ~plain:"unjournaled_s" ~armed:"journaled_s"
-    ~extra:[ ("fsync_policy", Json.Str "interval:0.05") ]
-    rows;
-  Fmt.pr "wrote BENCH_journal.json@.@."
-
 (* --- BENCH_serve.json: the service memoization record. --- *)
 
 (* Cold-vs-memoized latency through the daemon itself ([fcsl serve]):
-   one in-process server on a fresh journal; every Table 1 case is
-   submitted cold once (a full exploration) and then repeatedly (served
-   from the journal memo), measuring wall-clock per submission at the
-   client.  The gate is registry-total: the memoized pass must beat the
-   cold pass by at least 10x (tiny rows are dominated by socket
-   round-trips, so per-case ratios are reported but not gated).  A
-   sustained-throughput row then drives 4 concurrent clients across the
-   memoized registry. *)
+   every Table 1 case gets its own in-process server on its own fresh
+   journal, is submitted cold once (a fresh exploration: a cold frame
+   served from the memo, or with no fresh unit, fails the run) and then
+   repeatedly (served from the verdict table), measuring wall-clock per
+   submission at the client.  A shared daemon would answer a row whose
+   specs an earlier row already journalled (CG increment verifies
+   through the two lock rows' triples) from its journal instead.  The
+   gate is registry-total: the memoized pass must beat the cold pass by
+   at least 10x (tiny rows are dominated by socket round-trips, so
+   per-case ratios are reported but not gated). *)
 
 module Sv_server = Fcsl_service.Server
 module Sv_client = Fcsl_service.Client
@@ -677,8 +500,6 @@ type serve_row = {
   sv_cold_s : float;
   sv_memo_p50_s : float;
 }
-
-type serve_throughput = { st_submissions : int; st_elapsed_s : float }
 
 type serve_overload = {
   so_submissions : int;  (** flood submissions attempted (all clients) *)
@@ -723,9 +544,11 @@ let so_shed_rate ov =
 let serve_overload_met ov =
   ov.so_shed > 0 && ov.so_gold_flood_p50_s < serve_overload_job_delay_s
 
-let with_serve_daemon ?(tag = "") ?queue_bound ?(job_delay_s = 0.) f =
+(* An in-process daemon on a fresh journal, for the length of [f]; the
+   journal directory is deleted once the daemon has stopped. *)
+let with_serve_daemon ~tag ?queue_bound ?(job_delay_s = 0.) f =
   let tmp = Filename.get_temp_dir_name () in
-  let stamp = Printf.sprintf "fcsl-bench-serve-%d%s" (Unix.getpid ()) tag in
+  let stamp = Printf.sprintf "fcsl-bench-serve-%d-%s" (Unix.getpid ()) tag in
   let dir = Filename.concat tmp stamp in
   let socket = Filename.concat tmp (stamp ^ ".sock") in
   Journal.close (Journal.openj ~resume:false dir);
@@ -735,13 +558,18 @@ let with_serve_daemon ?(tag = "") ?queue_bound ?(job_delay_s = 0.) f =
          ~socket ~journal_dir:dir ())
   in
   let th = Thread.create Sv_server.run t in
-  if not (Sv_client.wait_ready ~socket ()) then
-    failwith "bench: the in-process daemon never answered a ping";
   Fun.protect
     ~finally:(fun () ->
       Sv_server.stop t;
-      Thread.join th)
-    (fun () -> f ~socket)
+      Thread.join th;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      if not (Sv_client.wait_ready ~socket ()) then
+        failwith "bench: the in-process daemon never answered a ping";
+      f ~socket)
 
 let timed_submit cn case =
   let t0 = Unix.gettimeofday () in
@@ -751,54 +579,26 @@ let timed_submit cn case =
     failwith (Fmt.str "bench: submit %s: %a" case Sv_client.pp_submit_error e)
 
 let serve_comparison () =
-  with_serve_daemon (fun ~socket ->
-      let cn = Sv_client.connect ~socket in
-      let rows =
-        List.map
-          (fun (c : Registry.case) ->
-            let name = c.Registry.c_name in
-            (* NB: a first submission may legitimately come back
-               memoized when an earlier case already journalled its
-               underlying specs (e.g. the lock cases verify through CG
-               increment's counter resource), so cold_s is "first
-               submission in registry order", not "guaranteed fresh". *)
-            let cold_s, _cold = timed_submit cn name in
-            let memo_times =
-              List.init serve_memo_trials (fun _ ->
-                  let s, v = timed_submit cn name in
-                  if not v.Sv_client.v_memo then
-                    failwith (name ^ ": repeat submission re-explored");
-                  s)
-            in
-            let sorted = List.sort compare memo_times in
-            let p50 = List.nth sorted (serve_memo_trials / 2) in
-            { sv_name = name; sv_cold_s = cold_s; sv_memo_p50_s = p50 })
-          Registry.all
-      in
-      Sv_client.close cn;
-      (* sustained throughput: [serve_clients] concurrent clients each
-         re-submitting the whole (memoized) registry *)
-      let t0 = Unix.gettimeofday () in
-      let threads =
-        List.init serve_clients (fun _ ->
-            Thread.create
-              (fun () ->
-                let cn = Sv_client.connect ~socket in
-                List.iter
-                  (fun (c : Registry.case) ->
-                    ignore (timed_submit cn c.Registry.c_name))
-                  Registry.all;
-                Sv_client.close cn)
-              ())
-      in
-      List.iter Thread.join threads;
-      let tput =
-        {
-          st_submissions = serve_clients * List.length Registry.all;
-          st_elapsed_s = Unix.gettimeofday () -. t0;
-        }
-      in
-      (rows, tput))
+  List.mapi
+    (fun i (c : Registry.case) ->
+      let name = c.Registry.c_name in
+      with_serve_daemon ~tag:(Printf.sprintf "cold%d" i) (fun ~socket ->
+          let cn = Sv_client.connect ~socket in
+          let cold_s, cold = timed_submit cn name in
+          if cold.Sv_client.v_memo || cold.Sv_client.v_fresh_units = 0 then
+            failwith (name ^ ": cold submission explored nothing fresh");
+          let memo_times =
+            List.init serve_memo_trials (fun _ ->
+                let s, v = timed_submit cn name in
+                if not v.Sv_client.v_memo then
+                  failwith (name ^ ": repeat submission re-explored");
+                s)
+          in
+          Sv_client.close cn;
+          let sorted = List.sort compare memo_times in
+          let p50 = List.nth sorted (serve_memo_trials / 2) in
+          { sv_name = name; sv_cold_s = cold_s; sv_memo_p50_s = p50 }))
+    Registry.all
 
 (* Poll [cn]'s health frame until [pred] holds (about 10 s at most). *)
 let await_health cn what pred =
@@ -835,7 +635,7 @@ let await_health cn what pred =
    executor has drained both queued jobs, so a fresh bronze digest
    submitted then must be shed. *)
 let serve_overload_run () =
-  with_serve_daemon ~tag:"-overload" ~queue_bound:serve_overload_queue_bound
+  with_serve_daemon ~tag:"overload" ~queue_bound:serve_overload_queue_bound
     ~job_delay_s:serve_overload_job_delay_s
     (fun ~socket ->
       let probe_case = (List.hd Registry.all).Registry.c_name in
@@ -982,8 +782,7 @@ let pp_serve_overload ppf ov =
     ov.so_gold_idle_p50_s ov.so_gold_flood_p50_s serve_overload_job_delay_s
 
 let write_serve_json ~path
-    ((rows, tput, ov) :
-      serve_row list * serve_throughput * serve_overload) =
+    ((rows, ov) : serve_row list * serve_overload) =
   let case r =
     Json.Obj
       [
@@ -1004,17 +803,6 @@ let write_serve_json ~path
                ("total_cold_s", Json.Float (serve_total_cold rows));
                ("total_memo_p50_s", Json.Float (serve_total_memo rows));
                ("total_speedup", Json.Float (serve_total_speedup rows));
-               ( "throughput",
-                 Json.Obj
-                   [
-                     ("clients", Json.Int serve_clients);
-                     ("submissions", Json.Int tput.st_submissions);
-                     ("elapsed_s", Json.Float tput.st_elapsed_s);
-                     ( "verdicts_per_s",
-                       Json.Float
-                         (float_of_int tput.st_submissions /. tput.st_elapsed_s)
-                     );
-                   ] );
                ( "overload",
                  Json.Obj
                    [
@@ -1034,11 +822,8 @@ let write_serve_json ~path
 
 let run_serve () =
   Fmt.pr "== Service memoization: cold vs journal-memoized latency ==@.";
-  let rows, tput = serve_comparison () in
+  let rows = serve_comparison () in
   Fmt.pr "%a@." pp_serve_rows rows;
-  Fmt.pr "  throughput: %d clients, %d memoized verdicts in %.2fs (%.0f/s)@."
-    serve_clients tput.st_submissions tput.st_elapsed_s
-    (float_of_int tput.st_submissions /. tput.st_elapsed_s);
   let ov = serve_overload_run () in
   Fmt.pr "%a@." pp_serve_overload ov;
   Fmt.pr "memoization target (total >= %.0fx): %s@." serve_target_speedup
@@ -1046,25 +831,14 @@ let run_serve () =
   Fmt.pr "overload target (sheds > 0, gold p50 under flood < %.2fs): %s@."
     serve_overload_job_delay_s
     (if serve_overload_met ov then "met" else "NOT MET");
-  write_serve_json ~path:"BENCH_serve.json" (rows, tput, ov);
+  write_serve_json ~path:"BENCH_serve.json" (rows, ov);
   Fmt.pr "wrote BENCH_serve.json@.@."
 
-(* [--robust-only] / [--journal-only] / [--serve-only] regenerate just
-   the corresponding CI artifact without paying for the bechamel
-   suite. *)
-let robust_only = Array.exists (String.equal "--robust-only") Sys.argv
-let journal_only = Array.exists (String.equal "--journal-only") Sys.argv
+(* [--serve-only] regenerates just BENCH_serve.json (a CI artifact)
+   without paying for the bechamel suite or the engine comparison. *)
 let serve_only = Array.exists (String.equal "--serve-only") Sys.argv
 
 let () =
-  if robust_only then (
-    Fmt.pr "FCSL robustness benchmark (budget-enforcement overhead)@.@.";
-    run_robust ();
-    exit 0);
-  if journal_only then (
-    Fmt.pr "FCSL durability benchmark (journal-armed overhead)@.@.";
-    run_journal ();
-    exit 0);
   if serve_only then (
     Fmt.pr "FCSL service benchmark (cold vs memoized verdict latency)@.@.";
     run_serve ();
@@ -1074,15 +848,13 @@ let () =
   let jobs = Pool.recommended_jobs () in
   Fmt.pr "== Engine comparison: naive vs memoized vs memoized+parallel (-j %d) ==@."
     jobs;
-  let engine_rows = engine_comparison ~jobs () in
+  let engine_rows, table1 = engine_comparison ~jobs () in
   Fmt.pr "%a@." pp_engine_rows engine_rows;
   write_bench_json ~path:"BENCH_explore.json" ~jobs bench_rows engine_rows;
   Fmt.pr "wrote BENCH_explore.json@.@.";
-  run_robust ();
-  run_journal ();
   run_serve ();
   Fmt.pr "== Table 1: statistics for implemented programs ==@.";
-  Fmt.pr "%a@." Tables.pp_table1 (Tables.table1 ());
+  Fmt.pr "%a@." Tables.pp_table1 table1;
   Fmt.pr "== Table 2: primitive concurroids employed by programs ==@.";
   Fmt.pr "%a@." Tables.pp_table2 ();
   Fmt.pr "Table 2 matches the paper's matrix: %b@.@."

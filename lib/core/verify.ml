@@ -366,11 +366,13 @@ let jwriter_of =
 
    Initial states are independent explorations, so with [jobs > 1] they
    are fanned out over a supervised domain pool and the per-state
-   results merged in input order.  The merge reproduces the sequential
-   accounting exactly: states after the first one that produced failures
-   are not counted (the sequential loop skips them once [failures] is
-   non-empty), so the report is identical whatever [jobs] is — parallel
-   runs merely waste the work done past the first failing state.
+   results merged in input order.  [Pool.map_result] explores every
+   eligible state whatever [jobs] is, [jobs = 1] included; the merge
+   counts only the states up to the first one that produced failures,
+   so the report is identical whatever [jobs] is.  The states past the
+   first failing one are explored for nothing at every [jobs]: they
+   charge the budget and journal their units, but the report does not
+   count them.
 
    Supervision is per initial state: an exploration that raises is
    retried once (absorbing transient faults — exploration is pure) and

@@ -2,6 +2,7 @@
    sources, the Table 2 matrix and Figure 5 diagram shape checks against
    the paper, and end-to-end verification of every registry entry. *)
 
+open Fcsl_core
 open Fcsl_report
 
 let check = Alcotest.(check bool)
@@ -92,18 +93,109 @@ let test_transitive_uses () =
   | None -> Alcotest.fail "Seq. stack missing"
 
 (* The full Table 1 run: every row verifies.  This is the repo's
-   headline end-to-end check (also exercised by the bench harness). *)
+   headline end-to-end check (also exercised by the bench harness).
+
+   The registry is then swept twice more, and what an armed budget and
+   a journal cost is checked as counts that do not depend on the host:
+   (a) under a budget no row can exhaust, and under a fresh journal per
+       row, every verdict summary equals the plain sweep's;
+   (b) the budget charges one tick per explored configuration;
+   (c) with a group-commit interval no run reaches, the journal's only
+       fsync is the one that makes each spec verdict durable: a row
+       fsyncs exactly once per [Spec_done] record.
+   (b) does not hold for Pair snapshot's refutation report:
+   [Pool.map_result] explores every eligible state, also at [-j 1],
+   while the report counts only the states up to the first failing
+   one; it is exempt by name.  The per-row journal counts are printed
+   last (the test's output log, or the terminal with [--verbose]). *)
+
+let summary (r : Verify.report) =
+  ( r.Verify.spec_name, Verify.ok r, r.Verify.tier, r.Verify.initial_states,
+    r.Verify.outcomes, r.Verify.diverged, r.Verify.complete, r.Verify.states )
+
+let untripped_budget =
+  Budget.limits ~deadline_s:3600.0 ~max_states:max_int
+    ~max_major_words:max_int ()
+
+(* One row under a fresh journal whose writes and fsyncs are counted:
+   the reports, the records read back, the bytes written and the
+   fsyncs. *)
+let journaled_row (c : Registry.case) =
+  let bytes = ref 0 and fsyncs = ref 0 in
+  let io =
+    {
+      Journal.real_io with
+      Journal.io_write =
+        (fun fd s pos len ->
+          let k = Journal.real_io.Journal.io_write fd s pos len in
+          bytes := !bytes + k;
+          k);
+      io_fsync =
+        (fun fd ->
+          incr fsyncs;
+          Journal.real_io.Journal.io_fsync fd);
+    }
+  in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fcsl-test-report-%d" (Unix.getpid ()))
+  in
+  let j = Journal.openj ~fsync:(Journal.Interval 3600.) ~io dir in
+  let reports =
+    Fun.protect
+      ~finally:(fun () -> Journal.close j)
+      (fun () -> Verify.with_engine ~journal:(Some j) c.Registry.c_verify)
+  in
+  let records, _ = Journal.read dir in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  (reports, records, !bytes, !fsyncs)
+
 let test_all_rows_verify () =
+  let counts =
+    List.map
+      (fun (c : Registry.case) ->
+        let name = c.Registry.c_name in
+        let reports = c.Registry.c_verify () in
+        List.iter
+          (fun r ->
+            check (Fmt.str "%s: %a" name Verify.pp_report r) true (Verify.ok r))
+          reports;
+        let plain = List.map summary reports in
+        let budgeted =
+          Verify.with_engine ~budget:untripped_budget c.Registry.c_verify
+        in
+        check (name ^ ": verdicts equal under a budget") true
+          (List.map summary budgeted = plain);
+        List.iter
+          (fun (r : Verify.report) ->
+            if r.Verify.spec_name <> "unchecked variant refuted" then
+              Alcotest.(check (option int))
+                (Fmt.str "%s: %s: one budget tick per configuration" name
+                   r.Verify.spec_name)
+                (Some r.Verify.states)
+                (Option.map (fun s -> s.Budget.st_states) r.Verify.budget))
+          budgeted;
+        let journaled, records, bytes, fsyncs = journaled_row c in
+        check (name ^ ": verdicts equal under a journal") true
+          (List.map summary journaled = plain);
+        let verdicts =
+          List.length
+            (List.filter
+               (function Journal.Spec_done _ -> true | _ -> false)
+               records)
+        in
+        Alcotest.(check int) (name ^ ": one fsync per Spec_done") verdicts
+          fsyncs;
+        (name, List.length records, bytes, verdicts))
+      Registry.all
+  in
+  Fmt.pr "%-14s %8s %9s %8s@." "Program" "records" "bytes" "fsyncs";
   List.iter
-    (fun (c : Registry.case) ->
-      let reports = c.Registry.c_verify () in
-      List.iter
-        (fun r ->
-          check
-            (Fmt.str "%s: %a" c.Registry.c_name Fcsl_core.Verify.pp_report r)
-            true (Fcsl_core.Verify.ok r))
-        reports)
-    Registry.all
+    (fun (name, records, bytes, fsyncs) ->
+      Fmt.pr "%-14s %8d %9d %8d@." name records bytes fsyncs)
+    counts
 
 let suite =
   [
