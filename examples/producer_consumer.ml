@@ -31,7 +31,7 @@ let () =
   Fmt.pr "exhaustive check over all schedules:@.";
   List.iter
     (fun r -> Fmt.pr "  %a@." Verify.pp_report r)
-    (Stack_clients.verify ());
+    [ Stack_clients.verify_seq (); Stack_clients.verify_prod_cons () ];
 
   (* 3. The underlying stack's subjective specs, under interference. *)
   Fmt.pr "@.Treiber stack operations under environment interference:@.";

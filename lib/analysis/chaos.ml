@@ -283,7 +283,7 @@ let plain_read () = Caslock.read C.label C.cfg C.x_cell
 let flaky_try_lock rng =
   let base = plain_try_lock () in
   Action.make
-    ~name:(Action.name base)
+    ~name:(Action.name_thunk base)
     ~enabled:(Action.enabled base)
     ~fp:(Action.footprint base)
     ~safe:(Action.safe base)
@@ -315,7 +315,7 @@ let flaky_unsafe_read () =
       b
   in
   Action.make
-    ~name:(Action.name base)
+    ~name:(Action.name_thunk base)
     ~enabled:(Action.enabled base)
     ~fp:(Action.footprint base)
     ~safe:(fun st -> (not (spuriously_unsafe st)) && Action.safe base st)

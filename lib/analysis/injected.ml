@@ -61,7 +61,7 @@ let ticket_skip_findings () : Diag.finding list =
   (* [Ticketlock.write] insists on [holds]; this variant does not — it
      barges into the critical section without awaiting its ticket. *)
   let barging_write : unit Action.t =
-    Action.make ~name:"write_skipping_ticket_check"
+    Action.make ~name:(fun () -> "write_skipping_ticket_check")
       ~fp:(Footprint.writes tl)
       ~safe:(fun st -> Heap.mem counter_cell (State.joint tl st))
       ~step:(fun st ->

@@ -190,7 +190,7 @@ let try_lock ?(await = false) l cfg : bool Action.t =
       match State.find l st with
       | Some s -> lock_bit cfg (Slice.joint s) = Some false
       | None -> true)
-    ~name:(Fmt.str "try_lock(%a)" Ptr.pp cfg.lk)
+    ~name:(fun () -> Fmt.str "try_lock(%a)" Ptr.pp cfg.lk)
     ~fp:(Footprint.cases l)
     ~safe:(fun st ->
       match State.find l st with
@@ -220,7 +220,7 @@ let try_lock ?(await = false) l cfg : bool Action.t =
 (* unlock: erases to a plain write of false; takes unlock_tr. *)
 let unlock_act l cfg resource ~delta : unit Action.t =
   Action.make
-    ~name:(Fmt.str "unlock(%a)" Ptr.pp cfg.lk)
+    ~name:(fun () -> Fmt.str "unlock(%a)" Ptr.pp cfg.lk)
     ~fp:(Footprint.writes l)
     ~safe:(fun st ->
       match State.find l st with
@@ -252,7 +252,7 @@ let unlock_act l cfg resource ~delta : unit Action.t =
 (* Protected-cell access, holder only. *)
 let read l cfg p : Value.t Action.t =
   Action.make
-    ~name:(Fmt.str "locked_read(%a)" Ptr.pp p)
+    ~name:(fun () -> Fmt.str "locked_read(%a)" Ptr.pp p)
     ~fp:(Footprint.reads l)
     ~safe:(fun st ->
       holds cfg l st
@@ -268,7 +268,7 @@ let read l cfg p : Value.t Action.t =
 
 let write l cfg p v : unit Action.t =
   Action.make
-    ~name:(Fmt.str "locked_write(%a)" Ptr.pp p)
+    ~name:(fun () -> Fmt.str "locked_write(%a)" Ptr.pp p)
     ~fp:(Footprint.writes l)
     ~safe:(fun st ->
       holds cfg l st

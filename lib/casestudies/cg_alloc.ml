@@ -44,7 +44,7 @@ module Make (L : LOCK) = struct
   (* peek_pool: an idle action observing a free cell (the freelist head);
      requires holding the lock, so the observation is stable. *)
   let peek_pool al : Ptr.t option Action.t =
-    Action.make ~name:"peek_pool"
+    Action.make ~name:(fun () -> "peek_pool")
       ~fp:(Footprint.reads al)
       ~safe:(fun st -> L.holds cfg al st)
       ~step:(fun st ->
@@ -64,7 +64,7 @@ module Make (L : LOCK) = struct
      preserved. *)
   let take_cell al pv p : unit Action.t =
     Action.make ~communicating:true
-      ~name:(Fmt.str "take_cell(%a)" Ptr.pp p)
+      ~name:(fun () -> Fmt.str "take_cell(%a)" Ptr.pp p)
       ~fp:(Footprint.join (Footprint.writes al) (Footprint.writes pv))
       ~safe:(fun st ->
         L.holds cfg al st
@@ -86,7 +86,7 @@ module Make (L : LOCK) = struct
   (* put_cell: the reverse transfer, used by [dealloc]. *)
   let put_cell al pv p : unit Action.t =
     Action.make ~communicating:true
-      ~name:(Fmt.str "put_cell(%a)" Ptr.pp p)
+      ~name:(fun () -> Fmt.str "put_cell(%a)" Ptr.pp p)
       ~fp:(Footprint.join (Footprint.writes al) (Footprint.writes pv))
       ~safe:(fun st ->
         L.holds cfg al st

@@ -408,7 +408,7 @@ let find_slice fc st = State.find fc st
 let publish_act so cfg fc ~slot op arg : unit Action.t =
   let slot_ptr = List.nth cfg.slots slot in
   Action.make
-    ~name:(Fmt.str "fc_publish(%d,%s)" slot op)
+    ~name:(fun () -> Fmt.str "fc_publish(%d,%s)" slot op)
     ~fp:(Footprint.writes fc)
     ~safe:(fun st ->
       match find_slice fc st with
@@ -438,7 +438,7 @@ let publish_act so cfg fc ~slot op arg : unit Action.t =
 let poll_act cfg fc ~slot : [ `Done of Value.t | `Pending ] Action.t =
   let slot_ptr = List.nth cfg.slots slot in
   Action.make
-    ~name:(Fmt.str "fc_poll(%d)" slot)
+    ~name:(fun () -> Fmt.str "fc_poll(%d)" slot)
     ~fp:(Footprint.reads fc)
     ~enabled:(fun st ->
       match find_slice fc st with
@@ -462,7 +462,7 @@ let poll_act cfg fc ~slot : [ `Done of Value.t | `Pending ] Action.t =
 
 (* try_lock / unlock. *)
 let try_lock_act cfg fc : bool Action.t =
-  Action.make ~name:"fc_try_lock" ~fp:(Footprint.cases fc)
+  Action.make ~name:(fun () -> "fc_try_lock") ~fp:(Footprint.cases fc)
     ~safe:(fun st ->
       match find_slice fc st with
       | Some s ->
@@ -488,7 +488,7 @@ let try_lock_act cfg fc : bool Action.t =
     ()
 
 let unlock_act cfg fc : unit Action.t =
-  Action.make ~name:"fc_unlock" ~fp:(Footprint.writes fc)
+  Action.make ~name:(fun () -> "fc_unlock") ~fp:(Footprint.writes fc)
     ~safe:(fun st ->
       match find_slice fc st with
       | Some s -> (
@@ -513,7 +513,7 @@ let unlock_act cfg fc : unit Action.t =
 let read_slot_act cfg fc i :
     [ `Empty | `Request of int * Value.t | `Done of Value.t ] Action.t =
   Action.make
-    ~name:(Fmt.str "fc_read_slot(%d)" i)
+    ~name:(fun () -> Fmt.str "fc_read_slot(%d)" i)
     ~fp:(Footprint.reads fc)
     ~safe:(fun st ->
       match find_slice fc st with
@@ -529,7 +529,7 @@ let read_slot_act cfg fc i :
    linearization point); erases to the object-cell write. *)
 let apply_act so cfg fc i : unit Action.t =
   Action.make
-    ~name:(Fmt.str "fc_apply(%d)" i)
+    ~name:(fun () -> Fmt.str "fc_apply(%d)" i)
     ~fp:(Footprint.writes fc)
     ~safe:(fun st ->
       match find_slice fc st with
@@ -584,7 +584,7 @@ let apply_act so cfg fc i : unit Action.t =
 (* respond_act: write the pending result into the slot. *)
 let respond_act cfg fc i : unit Action.t =
   Action.make
-    ~name:(Fmt.str "fc_respond(%d)" i)
+    ~name:(fun () -> Fmt.str "fc_respond(%d)" i)
     ~fp:(Footprint.writes fc)
     ~safe:(fun st ->
       match find_slice fc st with
@@ -620,7 +620,7 @@ let respond_act cfg fc i : unit Action.t =
 let claim_act cfg fc ~slot : Value.t Action.t =
   let slot_ptr = List.nth cfg.slots slot in
   Action.make
-    ~name:(Fmt.str "fc_claim(%d)" slot)
+    ~name:(fun () -> Fmt.str "fc_claim(%d)" slot)
     ~fp:(Footprint.writes fc)
     ~safe:(fun st ->
       match find_slice fc st with

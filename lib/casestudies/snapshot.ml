@@ -172,7 +172,7 @@ let concurroid ?(depth = 2) label =
 (* read_cell: idle read of (value, version). *)
 let read_cell sp cell : (int * int) Action.t =
   Action.make
-    ~name:(Fmt.str "read_cell(%a)" Ptr.pp cell)
+    ~name:(fun () -> Fmt.str "read_cell(%a)" Ptr.pp cell)
     ~fp:(Footprint.reads sp)
     ~safe:(fun st ->
       match State.find sp st with
@@ -190,7 +190,7 @@ let write_cell sp cell v : unit Action.t =
   let op = if Ptr.equal cell x_cell then "wx" else "wy" in
   let other_cell = if Ptr.equal cell x_cell then y_cell else x_cell in
   Action.make
-    ~name:(Fmt.str "write_cell(%a,%d)" Ptr.pp cell v)
+    ~name:(fun () -> Fmt.str "write_cell(%a,%d)" Ptr.pp cell v)
     ~fp:(Footprint.writes sp)
     ~safe:(fun st ->
       match State.find sp st with

@@ -104,7 +104,7 @@ let slice_at sp st = State.find_exn sp st
 (* trymark: erases to CAS on the node's cell; logically takes
    marknode_trans on success and idle on failure. *)
 let trymark sp x : bool Action.t =
-  Action.make ~name:(Fmt.str "trymark(%a)" Ptr.pp x)
+  Action.make ~name:(fun () -> Fmt.str "trymark(%a)" Ptr.pp x)
     ~fp:(Footprint.cases sp)
     ~safe:(fun st ->
       match State.find sp st with
@@ -141,7 +141,8 @@ let trymark sp x : bool Action.t =
 (* read_child: erases to a read; logically idle.  Requires x ∈ self so
    the result is stable (nobody else may nullify x's edges). *)
 let read_child sp x side : Ptr.t Action.t =
-  Action.make ~name:(Fmt.str "read_child(%a,%a)" Ptr.pp x Graph.pp_side side)
+  Action.make
+    ~name:(fun () -> Fmt.str "read_child(%a,%a)" Ptr.pp x Graph.pp_side side)
     ~fp:(Footprint.reads sp)
     ~safe:(fun st ->
       match State.find sp st with
@@ -160,7 +161,8 @@ let read_child sp x side : Ptr.t Action.t =
 (* nullify: erases to a write of the node's cell; logically takes
    nullify_trans.  Requires x ∈ self. *)
 let nullify sp x side : unit Action.t =
-  Action.make ~name:(Fmt.str "nullify(%a,%a)" Ptr.pp x Graph.pp_side side)
+  Action.make
+    ~name:(fun () -> Fmt.str "nullify(%a,%a)" Ptr.pp x Graph.pp_side side)
     ~fp:(Footprint.writes sp)
     ~safe:(fun st ->
       match State.find sp st with

@@ -119,13 +119,13 @@ let init_states () =
          ~joint:Heap.empty ~other:(Aux.heap Heap.empty));
   ]
 
-let verify ?(fuel = 40) ?(max_outcomes = 400_000) () : Verify.report list =
-  let w = world () in
-  let init = init_states () in
-  [
-    Verify.check_triple ~fuel ~max_outcomes ~interference:false ~world:w ~init
-      seq_stack_prog seq_stack_spec;
-    Verify.check_triple ~fuel ~max_outcomes ~interference:false ~world:w ~init
-      prod_cons_prog prod_cons_spec;
-  ]
+let check ?(fuel = 40) ?(max_outcomes = 400_000) prog spec =
+  Verify.check_triple ~fuel ~max_outcomes ~interference:false ~world:(world ())
+    ~init:(init_states ()) prog spec
+
+let verify_seq ?fuel ?max_outcomes () =
+  check ?fuel ?max_outcomes seq_stack_prog seq_stack_spec
+
+let verify_prod_cons ?fuel ?max_outcomes () =
+  check ?fuel ?max_outcomes prod_cons_prog prod_cons_spec
 (*!End*)

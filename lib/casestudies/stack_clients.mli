@@ -29,4 +29,8 @@ val prod_cons_spec : (unit * (int * int)) Spec.t
 
 val world : unit -> World.t
 val init_states : unit -> State.t list
-val verify : ?fuel:int -> ?max_outcomes:int -> unit -> Verify.report list
+val verify_seq : ?fuel:int -> ?max_outcomes:int -> unit -> Verify.report
+(** The sequential stack's triple (Table 1 row "Seq. stack"). *)
+
+val verify_prod_cons : ?fuel:int -> ?max_outcomes:int -> unit -> Verify.report
+(** The producer/consumer triple (Table 1 row "Prod/Cons"). *)

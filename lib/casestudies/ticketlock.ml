@@ -200,7 +200,7 @@ let slice_shape_ok cfg st l =
 (* take_ticket: erases to FAA(next, 1); takes take_ticket_tr. *)
 let take_ticket l cfg : int Action.t =
   Action.make
-    ~name:(Fmt.str "take_ticket(%a)" Ptr.pp cfg.next)
+    ~name:(fun () -> Fmt.str "take_ticket(%a)" Ptr.pp cfg.next)
     ~fp:(Footprint.writes l)
     ~safe:(fun st -> slice_shape_ok cfg st l)
     ~step:(fun st ->
@@ -229,7 +229,7 @@ let read_owner ?awaiting l cfg : int Action.t =
         match State.find l st with
         | Some s -> owner_of cfg (Slice.joint s) = Some t
         | None -> true))
-    ~name:(Fmt.str "read_owner(%a)" Ptr.pp cfg.owner)
+    ~name:(fun () -> Fmt.str "read_owner(%a)" Ptr.pp cfg.owner)
     ~fp:(Footprint.reads l)
     ~safe:(fun st -> slice_shape_ok cfg st l)
     ~step:(fun st ->
@@ -241,7 +241,7 @@ let read_owner ?awaiting l cfg : int Action.t =
 (* unlock: erases to a write of owner+1; takes unlock_tr. *)
 let unlock_act l cfg resource ~delta : unit Action.t =
   Action.make
-    ~name:(Fmt.str "tl_unlock(%a)" Ptr.pp cfg.owner)
+    ~name:(fun () -> Fmt.str "tl_unlock(%a)" Ptr.pp cfg.owner)
     ~fp:(Footprint.writes l)
     ~safe:(fun st ->
       holds cfg l st
@@ -278,7 +278,7 @@ let unlock_act l cfg resource ~delta : unit Action.t =
 (* Protected-cell access, holder only. *)
 let read l cfg p : Value.t Action.t =
   Action.make
-    ~name:(Fmt.str "tl_read(%a)" Ptr.pp p)
+    ~name:(fun () -> Fmt.str "tl_read(%a)" Ptr.pp p)
     ~fp:(Footprint.reads l)
     ~safe:(fun st ->
       holds cfg l st
@@ -294,7 +294,7 @@ let read l cfg p : Value.t Action.t =
 
 let write l cfg p v : unit Action.t =
   Action.make
-    ~name:(Fmt.str "tl_write(%a)" Ptr.pp p)
+    ~name:(fun () -> Fmt.str "tl_write(%a)" Ptr.pp p)
     ~fp:(Footprint.writes l)
     ~safe:(fun st ->
       holds cfg l st

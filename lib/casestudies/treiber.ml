@@ -219,7 +219,7 @@ let concurroid ?(depth = 2) label =
 
 (* read_top: idle. *)
 let read_top tb : Ptr.t Action.t =
-  Action.make ~name:"read_top" ~fp:(Footprint.reads tb)
+  Action.make ~name:(fun () -> "read_top") ~fp:(Footprint.reads tb)
     ~safe:(fun st ->
       match State.find tb st with
       | Some s -> Option.is_some (top_of (Slice.joint s))
@@ -233,7 +233,7 @@ let read_top tb : Ptr.t Action.t =
 (* read_top_nonempty: the blocking variant used by consumers that wait
    for an element. *)
 let read_top_nonempty tb : Ptr.t Action.t =
-  Action.make ~name:"read_top_nonempty" ~fp:(Footprint.reads tb)
+  Action.make ~name:(fun () -> "read_top_nonempty") ~fp:(Footprint.reads tb)
     ~enabled:(fun st ->
       match State.find tb st with
       | Some s -> (
@@ -256,7 +256,7 @@ let read_top_nonempty tb : Ptr.t Action.t =
    pointers). *)
 let read_node tb p : (int * Ptr.t) Action.t =
   Action.make
-    ~name:(Fmt.str "read_node(%a)" Ptr.pp p)
+    ~name:(fun () -> Fmt.str "read_node(%a)" Ptr.pp p)
     ~fp:(Footprint.reads tb)
     ~safe:(fun st ->
       match State.find tb st with
@@ -272,7 +272,7 @@ let read_node tb p : (int * Ptr.t) Action.t =
    own heap — Priv business, invisible to the stack protocol). *)
 let set_node pv p v next : unit Action.t =
   Action.make
-    ~name:(Fmt.str "set_node(%a)" Ptr.pp p)
+    ~name:(fun () -> Fmt.str "set_node(%a)" Ptr.pp p)
     ~fp:(Footprint.writes pv)
     ~safe:(fun st ->
       match Aux.as_heap (State.self pv st) with
@@ -289,7 +289,7 @@ let set_node pv p v next : unit Action.t =
    action) and the push is stamped into the thread's history. *)
 let cas_push tb pv p v expected : bool Action.t =
   Action.make ~communicating:true
-    ~name:(Fmt.str "cas_push(%a)" Ptr.pp p)
+    ~name:(fun () -> Fmt.str "cas_push(%a)" Ptr.pp p)
     ~fp:
       (Footprint.of_list
          [ (tb, [ Footprint.Read; Write; Cas ]); (pv, [ Footprint.Read; Write ]) ])
@@ -338,7 +338,7 @@ let cas_push tb pv p v expected : bool Action.t =
    garbage; the pop is stamped. *)
 let cas_pop tb expected next : bool Action.t =
   Action.make
-    ~name:(Fmt.str "cas_pop(%a)" Ptr.pp expected)
+    ~name:(fun () -> Fmt.str "cas_pop(%a)" Ptr.pp expected)
     ~fp:(Footprint.of_list [ (tb, [ Footprint.Read; Write; Cas ]) ])
     ~safe:(fun st ->
       match State.find tb st with

@@ -57,7 +57,12 @@ let apply_phys op h =
   | Id -> Some (h, Value.unit)
 
 type 'a t = {
-  name : string;
+  name : unit -> string;
+      (* Rendered on demand: exploration rebuilds a configuration's
+         actions at every continuation application but reads a name only
+         for a report (a crash trace, a deadlock witness, a lint), so
+         formatting it eagerly was most of what building an action
+         allocated. *)
   safe : State.t -> bool;
   enabled : State.t -> bool;
       (* Scheduling guard: a disabled action blocks its thread instead of
@@ -89,16 +94,19 @@ let make ?(communicating = false) ?enabled ?(fp = Footprint.top) ~name ~safe
   let enabled = Option.value enabled ~default:(fun _ -> true) in
   { name; safe; enabled; step; phys; communicating; fp; blocking }
 
-let name a = a.name
+let name a = a.name ()
+let name_thunk a = a.name
 let safe a st = a.safe st
 let enabled a st = a.enabled st
 let blocking a = a.blocking
 let phys a st = a.phys st
 let footprint a = a.fp
 
+let step a st = a.step st
+
 let step_exn a st =
   if a.safe st then a.step st
-  else invalid_arg (Fmt.str "Action.step_exn: %s unsafe" a.name)
+  else invalid_arg (Fmt.str "Action.step_exn: %s unsafe" (name a))
 
 (* [map f a]: post-compose the result; the state transformation is
    unchanged, so all laws transfer. *)
@@ -127,19 +135,19 @@ let check_erasure a st acc =
     | Some (expected, _) when Heap.equal expected after -> acc
     | Some (expected, _) ->
       {
-        law = a.name ^ " violates erasure";
+        law = name a ^ " violates erasure";
         witness =
           Fmt.str "expected %a, got %a" Heap.pp expected Heap.pp after;
       }
       :: acc
     | None ->
       {
-        law = a.name ^ ": physical op faults on erased heap";
+        law = name a ^ ": physical op faults on erased heap";
         witness = Fmt.str "%a" pp_phys (a.phys st);
       }
       :: acc)
   | _ ->
-    { law = a.name ^ ": erased state invalid"; witness = State.to_string st }
+    { law = name a ^ ": erased state invalid"; witness = State.to_string st }
     :: acc
 
 (* Other-fixity: an action never changes the environment's contribution. *)
@@ -156,7 +164,7 @@ let check_other_fixity a st acc =
   in
   if ok then acc
   else
-    { law = a.name ^ " changes other"; witness = State.to_string st } :: acc
+    { law = name a ^ " changes other"; witness = State.to_string st } :: acc
 
 (* Transition correspondence: at every label, the slice change is either
    idle or one of the concurroid's transitions. *)
@@ -179,7 +187,7 @@ let check_correspondence (w : World.t) a st acc =
           else
             {
               law =
-                Fmt.str "%s: no %s transition justifies the step" a.name
+                Fmt.str "%s: no %s transition justifies the step" (name a)
                   (Concurroid.name c);
               witness = Fmt.str "%a -> %a" Slice.pp s Slice.pp s';
             }
@@ -196,7 +204,7 @@ let check_footprint a st acc =
     if Ptr.Set.equal (Heap.dom_set before) (Heap.dom_set after) then acc
     else
       {
-        law = a.name ^ " changes the global footprint";
+        law = name a ^ " changes the global footprint";
         witness = Fmt.str "%a -> %a" Heap.pp before Heap.pp after;
       }
       :: acc
@@ -207,7 +215,7 @@ let check_coh (w : World.t) a st acc =
   let _, st' = a.step st in
   if World.coh w st' then acc
   else
-    { law = a.name ^ " breaks world coherence"; witness = State.to_string st' }
+    { law = name a ^ " breaks world coherence"; witness = State.to_string st' }
     :: acc
 
 let check_laws ?(max_violations = 10) (w : World.t) a ~states =

@@ -26,7 +26,7 @@ val make :
   ?communicating:bool ->
   ?enabled:(State.t -> bool) ->
   ?fp:Footprint.t ->
-  name:string ->
+  name:(unit -> string) ->
   safe:(State.t -> bool) ->
   step:(State.t -> 'a * State.t) ->
   phys:(State.t -> phys) ->
@@ -40,9 +40,16 @@ val make :
     reduction of retry-until-success loops for partial correctness.
     [fp] is the action's declared effect envelope (default
     [Footprint.top], i.e. unknown); it feeds the static analyzer, the
-    lints and the independence report. *)
+    lints and the independence report.  [name] renders the action's
+    name; it is called only when a name is read ({!name}), never to
+    build or step the action. *)
 
 val name : 'a t -> string
+(** Render the name. *)
+
+val name_thunk : 'a t -> unit -> string
+(** The name, unrendered: what {!make} was given. *)
+
 val safe : 'a t -> State.t -> bool
 val enabled : 'a t -> State.t -> bool
 
@@ -55,6 +62,10 @@ val phys : 'a t -> State.t -> phys
 
 val footprint : 'a t -> Footprint.t
 (** The declared effect envelope. *)
+
+val step : 'a t -> State.t -> 'a * State.t
+(** Step without checking {!safe}: the caller has checked it in this
+    state. *)
 
 val step_exn : 'a t -> State.t -> 'a * State.t
 (** Raises [Invalid_argument] when unsafe. *)

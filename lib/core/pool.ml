@@ -53,13 +53,22 @@ let backoff_delay ~seed ~base i k =
   base *. (2. ** float_of_int (k - 2)) *. (0.5 +. Random.State.float st 1.0)
 
 let map_result ~jobs ?(retries = 1) ?(backoff_s = 0.01) ?(backoff_seed = 0)
-    (f : 'a -> 'b) (xs : 'a list) : ('b, error) result list =
+    ?(until = fun _ -> false) (f : 'a -> 'b) (xs : 'a list) :
+    ('b, error) result list =
   let n = List.length xs in
   if n = 0 then []
   else begin
     let jobs = max 1 (min jobs n) in
     let input = Array.of_list xs in
     let results = Array.make n never_ran in
+    (* The lowest index known to satisfy [until] ([n]: none yet).  Items
+       are claimed in index order, so every item below it has already
+       started, and an item above it is skipped. *)
+    let stop_at = Atomic.make n in
+    let rec lower_stop i =
+      let s = Atomic.get stop_at in
+      if i < s && not (Atomic.compare_and_set stop_at s i) then lower_stop i
+    in
     let run_item i =
       let rec attempt k slept =
         match f input.(i) with
@@ -78,17 +87,22 @@ let map_result ~jobs ?(retries = 1) ?(backoff_s = 0.01) ?(backoff_seed = 0)
           else Error { e_exn = e; e_backtrace = bt; e_attempts = k;
                        e_backoff_s = slept }
       in
-      results.(i) <- attempt 1 0.
+      let r = attempt 1 0. in
+      results.(i) <- r;
+      if until r then lower_stop i
     in
-    if jobs <= 1 then
-      for i = 0 to n - 1 do
-        run_item i
+    if jobs <= 1 then begin
+      let i = ref 0 in
+      while !i < n && !i <= Atomic.get stop_at do
+        run_item !i;
+        incr i
       done
+    end
     else begin
       let next = Atomic.make 0 in
       let rec worker () =
         let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
+        if i < n && i <= Atomic.get stop_at then begin
           run_item i;
           worker ()
         end
@@ -100,7 +114,7 @@ let map_result ~jobs ?(retries = 1) ?(backoff_s = 0.01) ?(backoff_seed = 0)
          [Never_ran] markers report the loss instead. *)
       List.iter (fun d -> try Domain.join d with _ -> ()) domains
     end;
-    Array.to_list results
+    List.init (min n (Atomic.get stop_at + 1)) (Array.get results)
   end
 
 let map ~jobs f xs =

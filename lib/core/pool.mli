@@ -36,6 +36,7 @@ val map_result :
   ?retries:int ->
   ?backoff_s:float ->
   ?backoff_seed:int ->
+  ?until:(('b, error) result -> bool) ->
   ('a -> 'b) ->
   'a list ->
   ('b, error) result list
@@ -43,6 +44,13 @@ val map_result :
     domains (the caller's domain included); items are claimed off a
     shared counter, so uneven items balance across domains.  Order is
     preserved.
+
+    With [until], the list ends at the first item whose result
+    satisfies [until]: it is the prefix of [List.map f xs] up to and
+    including that item, whatever [jobs] is.  No item is started once
+    an earlier one is known to satisfy [until], so with [jobs <= 1] no
+    item past it runs; with more domains, only items already started
+    run past it, and their results are dropped.
 
     Supervision is per item: an application that raises is retried up to
     [retries] more times (default 1 — retry once), then quarantined as

@@ -302,13 +302,15 @@ and uninstall : type a. genv -> Contrib.t -> Prog.hide_spec -> a -> a norm =
 
 (* One scheduling move: an atomic action at some leaf.  Returns all
    enabled moves as continuations, or a crash witness if some enabled
-   leaf is unsafe (a verification failure). *)
+   leaf is unsafe (a verification failure).  A move's name is the
+   action's unrendered name ({!Action.name_thunk}): exploration renders
+   it only for a crash trace. *)
 type 'a move = {
-  mv_name : string;
+  mv_name : unit -> string;
   mv_next : (genv * Contrib.t * 'a rt, Crash.t) result;
 }
 
-let move_name mv = mv.mv_name
+let move_name mv = mv.mv_name ()
 let move_next mv = mv.mv_next
 
 let rec moves : type a. genv -> Contrib.t -> Contrib.t -> a rt -> a move list =
@@ -322,7 +324,7 @@ let rec moves : type a. genv -> Contrib.t -> Contrib.t -> a rt -> a move list =
     | None ->
       [
         {
-          mv_name = Action.name a;
+          mv_name = Action.name_thunk a;
           mv_next = Error (Crash.make Crash.Ghost_algebra "invalid subjective view");
         };
       ]
@@ -330,7 +332,7 @@ let rec moves : type a. genv -> Contrib.t -> Contrib.t -> a rt -> a move list =
       if not (Action.safe a st) then
         [
           {
-            mv_name = Action.name a;
+            mv_name = Action.name_thunk a;
             mv_next =
               Error
                 (Crash.make Crash.Unsafe_action
@@ -339,9 +341,13 @@ let rec moves : type a. genv -> Contrib.t -> Contrib.t -> a rt -> a move list =
         ]
       else if not (Action.enabled a st) then [] (* blocked, not crashed *)
       else
-        let r, st' = Action.step_exn a st in
+        (* [safe] was checked just above: step without checking it
+           again. *)
+        let r, st' = Action.step a st in
         let genv', mine' = unview st' ~genv ~mine in
-        [ { mv_name = Action.name a; mv_next = Ok (genv', mine', RRet r) } ])
+        [
+          { mv_name = Action.name_thunk a; mv_next = Ok (genv', mine', RRet r) };
+        ])
   | RBind (p, k) ->
     List.map
       (fun mv ->
@@ -367,7 +373,7 @@ let rec moves : type a. genv -> Contrib.t -> Contrib.t -> a rt -> a move list =
     in
     let incompatible () =
       {
-        mv_name = "par";
+        mv_name = (fun () -> "par");
         mv_next =
           Error (Crash.make Crash.Ghost_algebra "incompatible contributions");
       }
@@ -410,10 +416,10 @@ let rec moves : type a. genv -> Contrib.t -> Contrib.t -> a rt -> a move list =
    of all our threads' contributions).  From the program's side this
    changes [joint] and the external contribution, never our selves.
 
-   Move names are lazy: exhaustive exploration only renders a schedule
-   when it reports a crash, so the (hot) happy paths never pay for the
-   formatting. *)
-type env_move = { ev_name : string Lazy.t; ev_genv : genv }
+   Move names are rendered on demand: exhaustive exploration only renders
+   a schedule when it reports a crash, so the (hot) happy paths never
+   pay for the formatting. *)
+type env_move = { ev_name : unit -> string; ev_genv : genv }
 
 let env_moves_aux : type a. genv -> Contrib.t -> a rt -> env_move list =
  fun genv mine rt ->
@@ -437,7 +443,8 @@ let env_moves_aux : type a. genv -> Contrib.t -> a rt -> env_move list =
             List.map
               (fun (n, s') ->
                 {
-                  ev_name = lazy (Fmt.str "env:%s.%s" (Concurroid.name c) n);
+                  ev_name =
+                    (fun () -> Fmt.str "env:%s.%s" (Concurroid.name c) n);
                   ev_genv =
                     {
                       genv with
@@ -458,7 +465,7 @@ let env_moves_aux : type a. genv -> Contrib.t -> a rt -> env_move list =
       (World.concurroids genv.world)
 
 let env_moves genv mine rt =
-  List.map (fun ev -> (Lazy.force ev.ev_name, ev.ev_genv)) (env_moves_aux genv mine rt)
+  List.map (fun ev -> (ev.ev_name (), ev.ev_genv)) (env_moves_aux genv mine rt)
 
 (* Stuck-state detection.  When every program leaf is blocked on a
    disabled action, the configuration is either a genuine deadlock or
@@ -652,61 +659,76 @@ and knode =
   | KHideI of int * rt_key
 
 module Keyer = struct
+  (* A block's words read as OCaml ints, which nothing boxes (reading
+     them through [Obj.raw_field] boxed a nativeint per word).  A
+     closure's closinfo word is a tagged int already.  A code pointer is
+     not an OCaml value, and reading one is GC-safe here: nothing
+     allocates or polls between a word's load and its comparison, so no
+     collection can run while it is live; and the compiler keeps a word
+     read from an [int array] as an int, which the GC never scans. *)
+  let words (o : Obj.t) : int array = Obj.obj o
+
   (* Start-of-environment index of a closure block, decoded from the
      closinfo word as laid out by the OCaml 5 runtime: arity in the top
-     8 bits, start-of-env in the remaining bits, shifted by 1. *)
-  let start_env (o : Obj.t) =
-    let info = Obj.raw_field o 1 in
-    Nativeint.to_int
-      (Nativeint.shift_right_logical (Nativeint.shift_left info 8) 9)
+     8 bits, start-of-env in the next 55, and the int tag bit, so as an
+     int it is [arity lsl 55 lor start_env]. *)
+  let start_env o = Array.unsafe_get (words o) 1 land ((1 lsl 55) - 1)
 
-  let raw_prefix_eq a b n =
-    let rec go i =
-      i >= n
-      || (Nativeint.equal (Obj.raw_field a i) (Obj.raw_field b i)
-         && go (i + 1))
-    in
-    go 0
+  (* The code pointers, closinfo words and infix headers before the
+     environments of two closure blocks with [n <= size] such words,
+     compared raw. *)
+  let rec prefix_eq a b i n =
+    i >= n
+    || Array.unsafe_get (words a) i == Array.unsafe_get (words b) i
+       && prefix_eq a b (i + 1) n
 
-  (* Structural equality of runtime representations.  [fuel] bounds the
-     number of visited nodes (cycles through recursive closures, huge
-     captured structures); exhaustion answers [false]. *)
+  (* Structural equality of runtime representations, visiting at most
+     [fuel] nodes (cycles through recursive closures, huge captured
+     structures).  Returns the fuel left when equal, and [lnot] of the
+     fuel left when not; running out answers unequal with none left
+     ([-1]).  The fuel is threaded as an int, so a comparison allocates
+     nothing. *)
   let rec obj_eq fuel (a : Obj.t) (b : Obj.t) =
-    a == b
-    || (!fuel > 0
-       &&
-       (decr fuel;
-        (not (Obj.is_int a))
-        && (not (Obj.is_int b))
-        &&
+    if a == b then fuel
+    else if fuel <= 0 then -1
+    else
+      let fuel = fuel - 1 in
+      let unequal = lnot fuel in
+      if Obj.is_int a || Obj.is_int b then unequal
+      else
         let ta = Obj.tag a in
-        ta = Obj.tag b
-        &&
-        if ta = Obj.string_tag then String.equal (Obj.obj a) (Obj.obj b)
-        else if ta = Obj.double_tag then Float.equal (Obj.obj a) (Obj.obj b)
+        if ta <> Obj.tag b then unequal
+        else if ta = Obj.string_tag then
+          if String.equal (Obj.obj a) (Obj.obj b) then fuel else unequal
+        else if ta = Obj.double_tag then
+          if Float.equal (Obj.obj a) (Obj.obj b) then fuel else unequal
         else if ta = Obj.double_array_tag then
-          (Obj.obj a : float array) = (Obj.obj b : float array)
+          if (Obj.obj a : float array) = (Obj.obj b : float array) then fuel
+          else unequal
         else if ta = Obj.custom_tag then
-          (try Stdlib.compare a b = 0 with Invalid_argument _ -> false)
+          if (try Stdlib.compare a b = 0 with Invalid_argument _ -> false) then
+            fuel
+          else unequal
         else if ta = Obj.closure_tag then
           let sa = Obj.size a in
-          sa = Obj.size b
-          &&
           let se = start_env a in
-          2 <= se && se <= sa && raw_prefix_eq a b se
-          && fields_eq fuel a b se sa
-        else if ta = Obj.infix_tag then false
-        else if ta < Obj.no_scan_tag then
+          if sa = Obj.size b && 2 <= se && se <= sa && prefix_eq a b 0 se then
+            fields_eq fuel a b se sa
+          else unequal
+        else if ta <> Obj.infix_tag && ta < Obj.no_scan_tag then
           let sa = Obj.size a in
-          sa = Obj.size b && fields_eq fuel a b 0 sa
-        else false))
+          if sa = Obj.size b then fields_eq fuel a b 0 sa else unequal
+        else unequal
 
   and fields_eq fuel a b i n =
-    i >= n
-    || (obj_eq fuel (Obj.field a i) (Obj.field b i)
-       && fields_eq fuel a b (i + 1) n)
+    if i >= n then fuel
+    else
+      let r = obj_eq fuel (Obj.field a i) (Obj.field b i) in
+      if r < 0 then r else fields_eq r a b (i + 1) n
 
   let eq_fuel = 4096
+
+  let same o o' = obj_eq eq_fuel o o' >= 0
 
   type t = {
     buckets : (int, (Obj.t * int) list) Hashtbl.t;
@@ -744,9 +766,8 @@ module Keyer = struct
     match bucket with
     | [] -> miss
     | (o', id) :: rest ->
-      let fuel = ref eq_fuel in
-      if obj_eq fuel o o' then id
-      else lookup o rest (if !fuel > 0 then miss else -2)
+      let r = obj_eq eq_fuel o o' in
+      if r >= 0 then id else lookup o rest (if lnot r > 0 then miss else -2)
 
   (* Immediates map to odd codes, registered blocks to even ones, so the
      two can never collide.  [Hashtbl.hash] is total (closures hash by
@@ -852,6 +873,7 @@ end
 type keyer = Keyer.t
 
 let new_keyer = Keyer.create
+let same_atom = Keyer.same
 
 (* The previous key of a tree keyed from scratch. *)
 let no_prev = { kn = KRet (-1); kh = 0; ks = false }
@@ -989,14 +1011,14 @@ let pp_outcome pp_res ppf = function
 exception Stop
 
 (* Render a schedule prefix for counterexample reports (oldest step
-   first).  Names are accumulated lazily, newest first, and only forced
-   here, on the crash paths. *)
-let trace_steps trace = List.rev_map Lazy.force trace
+   first).  Names are accumulated unrendered, newest first, and only
+   rendered here, on the crash paths. *)
+let trace_steps trace = List.rev_map (fun name -> name ()) trace
 
 (* What the memo table remembers about an exhausted configuration: the
    remaining fuel and environment budget it was explored with, what its
-   subtree actually NEEDED of them, and the outcomes the subtree
-   recorded (in order).
+   subtree actually NEEDED of them, and where the outcomes the subtree
+   recorded (in order) sit in the exploration's outcome buffer.
 
    A revisit is pruned by replaying the cached outcomes when the replay
    is provably exact — i.e. a fresh exploration would record the same
@@ -1015,19 +1037,22 @@ let trace_steps trace = List.rev_map Lazy.force trace
    Either way the replayed outcomes are exactly the naive ones, so
    failure sets, outcome counts and completeness are preserved; only the
    schedule annotations inside crash messages keep their first-discovery
-   trace.  The outcomes are stored as checked (see [explore ?check]), so
-   a replay re-emits a final state's verdict instead of re-deciding it. *)
-type 'a memo_entry = {
+   trace.  The outcomes are emitted as checked (see [explore ?check]),
+   so a replay re-emits a final state's verdict instead of re-deciding
+   it. *)
+type memo_entry = {
   e_fuel : int; (* remaining fuel at the recorded visit *)
   e_budget : int; (* env budget at the recorded visit *)
   e_need_fuel : int; (* deepest relative depth reached; max_int if cut *)
   e_need_env : int; (* most env steps used on a path; max_int if cut *)
-  e_outs : 'a outcome list;
+  e_start : int; (* the subtree's first outcome in the buffer *)
+  e_len : int; (* how many outcomes it recorded *)
 }
 
-(* Entries above this many outcomes are not stored: their memory cost
-   outweighs the re-emission saving, and their subtrees are pruned
-   through their (cached) children anyway. *)
+(* Entries above this many outcomes are not stored; their subtrees are
+   pruned through their (cached) children anyway.  An entry costs the
+   same whatever its length, but the cap decides which subtrees replay,
+   so it stays what the exploration counters were measured with. *)
 let memo_store_cap = 4096
 
 (* Exploration statistics: configurations actually entered (same cadence
@@ -1090,12 +1115,20 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
       if Budget.tripped b <> None then raise Stop
   in
   let mw0 = match stats with Some _ -> Gc.minor_words () | None -> 0. in
-  let outcomes = ref [] in
+  (* Every outcome emitted so far, in order, in a buffer that doubles
+     when full: the result, and the segments memo entries replay. *)
+  let outs = ref (Array.make 64 Diverged) in
   let count = ref 0 in
   let emit o =
-    outcomes := o :: !outcomes;
-    incr count;
-    if !count >= max_outcomes then raise Stop
+    let n = !count in
+    if n = Array.length !outs then begin
+      let grown = Array.make (2 * n) Diverged in
+      Array.blit !outs 0 grown 0 n;
+      outs := grown
+    end;
+    !outs.(n) <- o;
+    count := n + 1;
+    if n + 1 >= max_outcomes then raise Stop
   in
   (* A discovered outcome.  Counterexamples are journaled at discovery —
      before the search (or the process) ends — so a kill never loses
@@ -1113,25 +1146,17 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
   in
   let keyer = Keyer.create () in
   (* [Hashtbl]'s smallest size, grown with the keys the search stores. *)
-  let memo : 'a memo_entry list ref Memo.t = Memo.create 16 in
+  let memo : memo_entry list ref Memo.t = Memo.create 16 in
   (* Subtree-need accounting: absolute-depth high-water mark, budget
      low-water mark, and whether the fuel limit was hit.  Saved and
      restored around every memoized subtree. *)
   let deepest = ref 0 in
   let shallow_budget = ref env_budget in
   let fuel_cut = ref false in
-  (* The first [n] cells of the (newest-first) outcome list, oldest
-     first: the outcomes a subtree just recorded. *)
-  let take_rev n l =
-    let rec aux n acc l =
-      match l with x :: tl when n > 0 -> aux (n - 1) (x :: acc) tl | _ -> acc
-    in
-    aux n [] l
-  in
   (* [prev] and [pk] are the parent's normalized tree and its key
      ([no_prev] at the root and without dedup), which keying reuses. *)
   let rec go :
-      genv -> Contrib.t -> 'a rt -> int -> int -> string Lazy.t list ->
+      genv -> Contrib.t -> 'a rt -> int -> int -> (unit -> string) list ->
       'a rt -> rt_key -> unit =
    fun genv mine rt depth budget trace prev pk ->
     if depth > !deepest then deepest := depth;
@@ -1173,7 +1198,10 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
           (match stats with
           | Some s -> s.es_memo_hits <- s.es_memo_hits + 1
           | None -> ());
-          List.iter emit e.e_outs;
+          (* [emit] may grow the buffer: read it afresh each time. *)
+          for i = e.e_start to e.e_start + e.e_len - 1 do
+            emit !outs.(i)
+          done;
           (* Fold the pruned subtree's needs into the enclosing one's. *)
           if e.e_need_fuel = max_int then fuel_cut := true
           else if depth + e.e_need_fuel > !deepest then
@@ -1209,7 +1237,8 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
                 e_budget = budget;
                 e_need_fuel = need_fuel;
                 e_need_env = need_env;
-                e_outs = take_rev added !outcomes;
+                e_start = n0;
+                e_len = added;
               }
             in
             (* A subtree can revisit its own root's key deeper down and
@@ -1249,13 +1278,9 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
           | Error c ->
             record
               (Crashed
-                 (Crash.with_trace
-                    (trace_steps (Lazy.from_val mv.mv_name :: trace))
-                    c))
+                 (Crash.with_trace (trace_steps (mv.mv_name :: trace)) c))
           | Ok (genv', mine', rt') ->
-            go genv' mine' rt' (depth + 1) budget
-              (Lazy.from_val mv.mv_name :: trace)
-              rt kt)
+            go genv' mine' rt' (depth + 1) budget (mv.mv_name :: trace) rt kt)
         mvs;
       List.iter
         (fun ev ->
@@ -1279,7 +1304,10 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
     end;
     s.es_minor_words <- s.es_minor_words +. (Gc.minor_words () -. mw0)
   | None -> ());
-  (List.rev !outcomes, complete)
+  let rec to_list i acc =
+    if i < 0 then acc else to_list (i - 1) (!outs.(i) :: acc)
+  in
+  (to_list (!count - 1) [], complete)
 
 (* Run a single schedule chosen by [choose] (given the enabled move
    names, return the index to take); environment moves are not injected.
@@ -1301,13 +1329,13 @@ let run_with_chooser ?(fuel = 1000)
         let mvs = moves genv Contrib.empty mine rt in
         if mvs = [] then Diverged
         else
-          let names = List.map (fun mv -> mv.mv_name) mvs in
+          let names = List.map move_name mvs in
           let i = choose ~step:depth names in
           let mv = List.nth mvs (i mod List.length mvs) in
           (match mv.mv_next with
           | Error c -> Crashed c
           | Ok (genv', mine', rt') ->
-            observe genv' mine' mv.mv_name;
+            observe genv' mine' (move_name mv);
             go genv' mine' rt' (depth + 1))
   in
   go genv0 mine0 (inject prog) 0
@@ -1340,10 +1368,10 @@ let run_random ?(fuel = 1000) ?(interference = false) ?budget ?journal ~seed
       | Norm (genv, mine, rt) ->
         if depth >= fuel then Diverged
         else begin
-          let envs = if interference then env_moves genv mine rt else [] in
+          let envs = if interference then env_moves_aux genv mine rt else [] in
           if envs <> [] && Random.State.int rng 4 = 0 then
-            let _, genv' = List.nth envs (Random.State.int rng (List.length envs)) in
-            go genv' mine rt (depth + 1)
+            let ev = List.nth envs (Random.State.int rng (List.length envs)) in
+            go ev.ev_genv mine rt (depth + 1)
           else
             let mvs = moves genv Contrib.empty mine rt in
             if mvs = [] then Diverged

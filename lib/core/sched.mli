@@ -85,6 +85,13 @@ type keyer
 
 val new_keyer : unit -> keyer
 
+val same_atom : Obj.t -> Obj.t -> bool
+(** Whether a keyer identifies two runtime representations: equal
+    immediates, strings and floats, blocks of equal tag with identified
+    fields, and closures with the same code words and identified
+    captures.  A comparison that visits more than a fixed number of
+    nodes answers [false].  It allocates nothing. *)
+
 type rt_key
 (** A hash-consed thread-tree key: within one keyer, equal tree shapes
     have physically equal keys. *)

@@ -366,13 +366,12 @@ let jwriter_of =
 
    Initial states are independent explorations, so with [jobs > 1] they
    are fanned out over a supervised domain pool and the per-state
-   results merged in input order.  [Pool.map_result] explores every
-   eligible state whatever [jobs] is, [jobs = 1] included; the merge
-   counts only the states up to the first one that produced failures,
-   so the report is identical whatever [jobs] is.  The states past the
-   first failing one are explored for nothing at every [jobs]: they
-   charge the budget and journal their units, but the report does not
-   count them.
+   results merged in input order.  The report counts the states up to
+   the first one that failed (a counterexample or a lost worker), so
+   no state past it is started once it is known: with [jobs = 1] none
+   is explored, and with more domains only those already started are,
+   and their results are dropped.  The report is identical whatever
+   [jobs] is.
 
    Supervision is per initial state: an exploration that raises is
    retried once (absorbing transient faults — exploration is pure) and
@@ -436,8 +435,14 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
   let check_state (index, st) =
     unit_cached jctx ~index ~keep (explore_state st)
   in
-  let indexed = List.mapi (fun i st -> (i, st)) eligible in
-  let results = Pool.map_result ~jobs ~retries:1 check_state indexed in
+  let failed = function
+    | Ok ((si : Journal.state_image), _) -> si.si_failures <> []
+    | Error _ -> true
+  in
+  let results =
+    Pool.map_result ~jobs ~retries:1 ~until:failed check_state
+      (List.mapi (fun i st -> (i, st)) eligible)
+  in
   let initial_states = ref 0 in
   let outcomes = ref 0 in
   let diverged = ref 0 in
@@ -446,26 +451,28 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
   let failures = ref [] in
   let worker_crashes = ref [] in
   let expl = ref None in
-  List.iter2
-    (fun (_, st) r ->
-      if !failures = [] && !worker_crashes = [] then
-        match r with
-        | Ok ((si : Journal.state_image), x) ->
-          incr initial_states;
-          outcomes := !outcomes + si.si_outcomes;
-          diverged := !diverged + si.si_diverged;
-          if not si.si_complete then complete := false;
-          states := !states + si.si_states;
-          expl := merge_expl !expl x;
-          failures :=
-            List.map (fun crash -> { initial = st; crash }) si.si_failures
-        | Error e ->
-          (* The state's verdict is lost: record the quarantine and mark
-             the run incomplete — like a failure, later states are not
-             merged (the sequential accounting). *)
-          complete := false;
-          worker_crashes := [ { initial = st; crash = crash_of_pool_error e } ])
-    indexed results;
+  (* [results] stops at the first failed state, so only the last one
+     merged can carry failures. *)
+  let states_of = Array.of_list eligible in
+  List.iteri
+    (fun i r ->
+      let st = states_of.(i) in
+      match r with
+      | Ok ((si : Journal.state_image), x) ->
+        incr initial_states;
+        outcomes := !outcomes + si.si_outcomes;
+        diverged := !diverged + si.si_diverged;
+        if not si.si_complete then complete := false;
+        states := !states + si.si_states;
+        expl := merge_expl !expl x;
+        failures :=
+          List.map (fun crash -> { initial = st; crash }) si.si_failures
+      | Error e ->
+        (* The state's verdict is lost: record the quarantine and mark
+           the run incomplete. *)
+        complete := false;
+        worker_crashes := [ { initial = st; crash = crash_of_pool_error e } ])
+    results;
   {
     spec_name = Spec.name spec;
     tier = Exhaustive;

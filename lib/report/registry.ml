@@ -137,11 +137,7 @@ let all : case list =
       c_extra_libs = [];
       c_uses = [ Priv; Treiber ];
       c_deps = [ "Treiber stack" ];
-      c_verify =
-        (fun () ->
-          match Stack_clients.verify () with
-          | [ seq; _ ] -> [ seq ]
-          | rs -> rs);
+      c_verify = (fun () -> [ Stack_clients.verify_seq () ]);
     };
     {
       c_name = "FC-stack";
@@ -157,11 +153,7 @@ let all : case list =
       c_extra_libs = [];
       c_uses = [ Priv; Treiber ];
       c_deps = [ "Treiber stack" ];
-      c_verify =
-        (fun () ->
-          match Stack_clients.verify () with
-          | [ _; pc ] -> [ pc ]
-          | rs -> rs);
+      c_verify = (fun () -> [ Stack_clients.verify_prod_cons () ]);
     };
   ]
 

@@ -52,7 +52,7 @@ let test_footprint_domain () =
 (* --- Inference over the DSL spine. --- *)
 
 let idle_act ?(fp = Footprint.top) name =
-  Action.make ~name ~fp
+  Action.make ~name:(fun () -> name) ~fp
     ~safe:(fun _ -> true)
     ~step:(fun st -> ((), st))
     ~phys:(fun _ -> Action.Id)

@@ -149,7 +149,7 @@ let test_action_laws () =
 let test_rogue_action_refuted () =
   let l, w, states = span_world_and_states () in
   let rogue : unit Action.t =
-    Action.make ~name:"rogue_nullify"
+    Action.make ~name:(fun () -> "rogue_nullify")
       ~safe:(fun st ->
         match State.find l st with
         | Some s -> (

@@ -89,7 +89,8 @@ let test_prog_walk () =
   in
   let act name =
     Prog.act
-      (Action.make ~name
+      (Action.make
+         ~name:(fun () -> name)
          ~safe:(fun _ -> true)
          ~step:(fun st -> ((), st))
          ~phys:(fun _ -> Action.Id)

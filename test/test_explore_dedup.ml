@@ -140,6 +140,23 @@ let test_crash_set () =
         r.Verify.failures)
     [ rn; rm ]
 
+(* Treiber stack's push || pop over a freshly split node, and the
+   precondition its initial states must meet. *)
+let treiber_push_pop =
+  let open Treiber in
+  Prog.par_split
+    (Prog.split_cells ~pv:pv_label ~to_left:[ node1 ] ~to_right:[])
+    (push tb_label pv_label node1 1)
+    (pop tb_label)
+
+let treiber_push_pop_pre st =
+  let open Treiber in
+  Fcsl_pcm.Hist.is_empty (self_hist tb_label st)
+  &&
+  match Aux.as_heap (State.self pv_label st) with
+  | Some h -> Heap.mem node1 h
+  | None -> false
+
 (* The postcondition is checked once per final state the search
    discovers, not once per path: a memo replay re-emits the verdict.
    Treiber stack's push || pop, whose final states are mostly reached
@@ -151,13 +168,7 @@ let test_post_once () =
   let open Treiber in
   let calls = ref 0 in
   let spec =
-    Spec.make ~name:"push || pop (counted)"
-      ~pre:(fun st ->
-        Fcsl_pcm.Hist.is_empty (self_hist tb_label st)
-        &&
-        match Aux.as_heap (State.self pv_label st) with
-        | Some h -> Heap.mem node1 h
-        | None -> false)
+    Spec.make ~name:"push || pop (counted)" ~pre:treiber_push_pop_pre
       ~post:(fun ((), r) _ f ->
         incr calls;
         let ops op =
@@ -173,12 +184,7 @@ let test_post_once () =
     let r =
       Verify.with_engine ~dedup (fun () ->
           Verify.check_triple ~fuel:16 ~env_budget:1 ~world:(world ())
-            ~init:(init_states ())
-            (Prog.par_split
-               (Prog.split_cells ~pv:pv_label ~to_left:[ node1 ] ~to_right:[])
-               (push tb_label pv_label node1 1)
-               (pop tb_label))
-            spec)
+            ~init:(init_states ()) treiber_push_pop spec)
     in
     (r, !calls)
   in
@@ -197,6 +203,106 @@ let test_post_once () =
     (Fmt.str "dedup checks fewer (%d) than finished outcomes (%d)" memo_calls
        finished)
     true (memo_calls < finished)
+
+(* A memo replay re-emits a subtree's outcomes where the naive search
+   records them, so the two searches record the same outcome sequence,
+   not just the same multiset.  That holds when [max_outcomes] cuts the
+   search too: under dedup the cut mostly lands inside a replayed
+   segment, since most of push || pop's outcomes are replays. *)
+let test_ordered_outcomes () =
+  let w = Treiber.world () in
+  let interfere = World.labels w in
+  let show = function
+    | Sched.Finished (((), r), st) ->
+      Fmt.str "F|%a|%a" Fmt.(option int) r State.pp st
+    | Sched.Crashed c -> "C|" ^ strip_sched (Fmt.str "%a" Crash.pp c)
+    | Sched.Diverged -> "D"
+  in
+  let cases = ref 0 and cut = ref 0 in
+  List.iter
+    (fun st ->
+      if World.coh w st && treiber_push_pop_pre st then
+        List.iter
+          (fun max_outcomes ->
+            let run dedup =
+              let genv, mine = Sched.genv_of_state ~interfere w st in
+              let outs, complete =
+                Sched.explore ~fuel:16 ~env_budget:1 ~max_outcomes ~dedup genv
+                  mine treiber_push_pop
+              in
+              (List.map show outs, complete)
+            in
+            let naive = run false in
+            if not (snd naive) then incr cut;
+            incr cases;
+            Alcotest.(check (pair (list string) bool))
+              (Fmt.str "case %d (cap %d): dedup sequence = naive" !cases
+                 max_outcomes)
+              naive (run true))
+          [ 200_000; 1_000; 137 ])
+    (Treiber.init_states ());
+  check "some searches cut by max_outcomes" true (!cut > 0)
+
+(* Action names are rendered on demand: a crash-free memoized
+   exploration renders none, and a crash's schedule still prints
+   them. *)
+let test_names_on_demand () =
+  let sp, w, st =
+    span_setup
+      [ (p 1, p 2, p 3); (p 2, Ptr.null, Ptr.null); (p 3, Ptr.null, Ptr.null) ]
+  in
+  let renders = ref 0 in
+  let counted ?safe a =
+    Action.make
+      ~name:(fun () ->
+        incr renders;
+        "counted_" ^ Action.name a)
+      ~fp:(Action.footprint a)
+      ~safe:(Option.value safe ~default:(Action.safe a))
+      ~phys:(Action.phys a) ~step:(Action.step a) ()
+  in
+  let explore prog =
+    let stats = Sched.new_stats () in
+    let genv, mine = Sched.genv_of_state ~interfere:(World.labels w) w st in
+    let outs, _ =
+      Sched.explore ~fuel:12 ~env_budget:1 ~dedup:true ~stats genv mine prog
+    in
+    (outs, stats)
+  in
+  let outs, stats =
+    explore
+      (Prog.par
+         (Prog.act (counted (Span.trymark sp (p 2))))
+         (Prog.act (counted (Span.trymark sp (p 3)))))
+  in
+  let crashes =
+    List.filter_map (function Sched.Crashed c -> Some c | _ -> None)
+  in
+  check "crash-free" true (outs <> [] && crashes outs = []);
+  check "memo replays" true (stats.Sched.es_memo_hits > 0);
+  Alcotest.(check int) "no name rendered" 0 !renders;
+  let outs, _ =
+    explore
+      (Prog.par
+         (Prog.act (counted (Span.trymark sp (p 2))))
+         (Prog.act (counted ~safe:(fun _ -> false) (Span.trymark sp (p 3)))))
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  check "a crash's schedule names the step before it" true
+    (List.exists
+       (fun c -> List.mem "counted_trymark(x2)" (Crash.trace c))
+       (crashes outs));
+  check "the crash message names the unsafe action" true
+    (List.exists
+       (fun c -> contains (Crash.message c) "counted_trymark(x3) unsafe")
+       (crashes outs));
+  check "names rendered for the crashes" true (!renders > 0)
 
 (* The diamond itself: stepping two commuting trymarks in either order
    reaches configurations with equal keys under one keyer. *)
@@ -304,4 +410,8 @@ let suite =
     prop_random_equiv;
     Alcotest.test_case "postcondition checked once per final state" `Quick
       test_post_once;
+    Alcotest.test_case "outcome sequence: dedup = naive, also when capped"
+      `Quick test_ordered_outcomes;
+    Alcotest.test_case "action names rendered only for crashes" `Quick
+      test_names_on_demand;
   ]

@@ -168,7 +168,7 @@ let test_helping_witness () =
 let test_premature_respond_refuted () =
   let l, _, w, states = setup () in
   let rogue : unit Action.t =
-    Action.make ~name:"rogue_respond"
+    Action.make ~name:(fun () -> "rogue_respond")
       ~safe:(fun st ->
         match State.find l st with
         | Some s -> (

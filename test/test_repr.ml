@@ -316,6 +316,132 @@ let prop_contrib_equal =
          && ((not model) || Contrib.hash c1 = Contrib.hash c2)))
 
 (* ------------------------------------------------------------------ *)
+(* The keyer's closure comparison reads words without boxing them.    *)
+(* ------------------------------------------------------------------ *)
+
+(* The keyer's structural comparison as it was written before, reading
+   the closinfo and code-pointer words through [Obj.raw_field] (one
+   boxed nativeint per word) and counting fuel in a [ref]: the oracle
+   for [Sched.same_atom]. *)
+module Boxed_keyer = struct
+  let start_env (o : Obj.t) =
+    let info = Obj.raw_field o 1 in
+    Nativeint.to_int
+      (Nativeint.shift_right_logical (Nativeint.shift_left info 8) 9)
+
+  let raw_prefix_eq a b n =
+    let rec go i =
+      i >= n
+      || (Nativeint.equal (Obj.raw_field a i) (Obj.raw_field b i)
+         && go (i + 1))
+    in
+    go 0
+
+  let rec obj_eq fuel (a : Obj.t) (b : Obj.t) =
+    a == b
+    || (!fuel > 0
+       &&
+       (decr fuel;
+        (not (Obj.is_int a))
+        && (not (Obj.is_int b))
+        &&
+        let ta = Obj.tag a in
+        ta = Obj.tag b
+        &&
+        if ta = Obj.string_tag then String.equal (Obj.obj a) (Obj.obj b)
+        else if ta = Obj.double_tag then Float.equal (Obj.obj a) (Obj.obj b)
+        else if ta = Obj.double_array_tag then
+          (Obj.obj a : float array) = (Obj.obj b : float array)
+        else if ta = Obj.custom_tag then
+          (try Stdlib.compare a b = 0 with Invalid_argument _ -> false)
+        else if ta = Obj.closure_tag then
+          let sa = Obj.size a in
+          sa = Obj.size b
+          &&
+          let se = start_env a in
+          2 <= se && se <= sa && raw_prefix_eq a b se
+          && fields_eq fuel a b se sa
+        else if ta = Obj.infix_tag then false
+        else if ta < Obj.no_scan_tag then
+          let sa = Obj.size a in
+          sa = Obj.size b && fields_eq fuel a b 0 sa
+        else false))
+
+  and fields_eq fuel a b i n =
+    i >= n
+    || (obj_eq fuel (Obj.field a i) (Obj.field b i)
+       && fields_eq fuel a b (i + 1) n)
+
+  let same a b = obj_eq (ref 4096) a b
+end
+
+(* Closure makers, called twice with equal arguments to get closures
+   that are structurally equal but physically distinct.
+   [Sys.opaque_identity] keeps the compiler from sharing or
+   specializing them. *)
+let adder n = Sys.opaque_identity (fun x -> x + n)
+let adder' n = Sys.opaque_identity (fun x -> x - n)
+let tagger s = Sys.opaque_identity (fun x y -> String.length s + x + y)
+let scaler (k : float) = Sys.opaque_identity (fun x y z -> (x +. y +. z) *. k)
+let composer f g = Sys.opaque_identity (fun x -> f (g x))
+let add3 x y z = x + y + z
+
+let closure_samples () =
+  let o = Obj.repr in
+  let s n = String.make 3 (Char.chr (Char.code 'a' + n)) in
+  let two f = [ o (f ()); o (f ()) ] in
+  List.concat
+    [
+      (* arity 1, capturing an int; the same captures under other code *)
+      two (fun () -> adder 1);
+      two (fun () -> adder 2);
+      two (fun () -> adder' 1);
+      (* arity 2, capturing a string *)
+      two (fun () -> tagger (s 0));
+      two (fun () -> tagger (s 1));
+      (* arity 3, capturing a float *)
+      two (fun () -> scaler (Sys.opaque_identity 1.5));
+      two (fun () -> scaler (Sys.opaque_identity 2.5));
+      (* partial applications of arity-3 and arity-2 closures *)
+      two (fun () -> Sys.opaque_identity (add3 (Sys.opaque_identity 1)));
+      two (fun () -> Sys.opaque_identity (add3 1 (Sys.opaque_identity 2)));
+      two (fun () -> Sys.opaque_identity (add3 1 (Sys.opaque_identity 3)));
+      two (fun () -> Sys.opaque_identity ((tagger (s 0)) 7));
+      (* closures capturing closures *)
+      two (fun () -> composer (adder 1) (adder 2));
+      two (fun () -> composer (adder 2) (adder 1));
+      two (fun () -> composer (tagger (s 0) 1) (adder 1));
+    ]
+
+let test_closure_eq_unboxed () =
+  let samples = closure_samples () in
+  let pairs =
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) samples) samples
+  in
+  let distinct_equal = ref 0 in
+  List.iteri
+    (fun i (a, b) ->
+      let expected = Boxed_keyer.same a b in
+      if expected && a != b then incr distinct_equal;
+      Alcotest.(check bool)
+        (Printf.sprintf "pair %d agrees with the boxed comparison" i)
+        expected (Sched.same_atom a b))
+    pairs;
+  (* every sample has a physically distinct equal twin *)
+  check "structurally equal closures identified" true
+    (!distinct_equal >= List.length samples);
+  let pairs = Array.of_list pairs in
+  let equal = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let a, b = pairs.(i mod Array.length pairs) in
+    if Sched.same_atom a b then incr equal
+  done;
+  let w1 = Gc.minor_words () in
+  check "some comparisons answered equal" true (!equal > 0);
+  Alcotest.(check (float 0.)) "10k comparisons allocate nothing" 0. (w1 -. w0)
+
+(* ------------------------------------------------------------------ *)
 (* Registry differential against the pre-rewrite engine.              *)
 (* ------------------------------------------------------------------ *)
 
@@ -408,6 +534,8 @@ let suite =
     Alcotest.test_case "incremental keys = from-scratch keys (Treiber)"
       `Quick test_incremental_keys_treiber;
     prop_contrib_equal;
+    Alcotest.test_case "closure comparison: unboxed = boxed, no allocation"
+      `Quick test_closure_eq_unboxed;
     Alcotest.test_case "registry states identical to pre-rewrite engine" `Slow
       test_baseline_differential;
     Alcotest.test_case "memoized engine counters pinned (-j 1)" `Slow

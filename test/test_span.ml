@@ -83,7 +83,7 @@ let test_span_root_tp () =
 
 let blind_mark sp x : bool Action.t =
   Action.make
-    ~name:(Fmt.str "blind_mark(%a)" Ptr.pp x)
+    ~name:(fun () -> Fmt.str "blind_mark(%a)" Ptr.pp x)
     ~safe:(fun st ->
       match State.find sp st with
       | Some s -> (

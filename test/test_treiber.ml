@@ -105,7 +105,7 @@ let test_push_pop () =
 let test_clients () =
   List.iter
     (fun r -> check (Fmt.str "%a" Verify.pp_report r) true (Verify.ok r))
-    (Stack_clients.verify ())
+    [ Stack_clients.verify_seq (); Stack_clients.verify_prod_cons () ]
 
 let test_abstract_stack_interface () =
   (* the unification exercise the paper left undone: one client, both
@@ -129,7 +129,7 @@ let broken_pop tb : int option Prog.t =
     let* v, next = act (Treiber.read_node tb t) in
     (* a plain write instead of CAS: not justified by any transition *)
     let write_top : unit Action.t =
-      Action.make ~name:"write_top"
+      Action.make ~name:(fun () -> "write_top")
         ~safe:(fun st ->
           match State.find tb st with
           | Some s -> Option.is_some (Treiber.top_of (Slice.joint s))
@@ -154,7 +154,7 @@ let test_broken_pop_refuted () =
   let l, _, w, states = setup () in
   ignore l;
   let a =
-    Action.make ~name:"rogue_write_top"
+    Action.make ~name:(fun () -> "rogue_write_top")
       ~safe:(fun st ->
         match State.find (World.labels w |> List.hd) st with
         | Some s -> (
