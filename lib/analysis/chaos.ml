@@ -296,10 +296,11 @@ let flaky_try_lock rng =
 (* [safe] that spuriously answers [false] in some states: each distinct
    state (by its rendering) gets a sticky verdict on first encounter,
    alternating unsafe/safe — so at least one reached state is unsafe,
-   and the scheduler's safety check and [step_exn]'s internal recheck
-   always agree (a fresh random draw per call would let the first pass
-   and raise from the second, escaping the engine as
-   [Invalid_argument]). *)
+   and [safe] stays a function of the state, which every caller that
+   checks it more than once relies on ([Action.step_exn] checks it
+   again; the scheduler checks it once per move and then steps
+   unchecked).  The wrapped step goes through the base action's own
+   [step_exn], whose safety never answers spuriously. *)
 let flaky_unsafe_read () =
   let base = plain_read () in
   let decided : (string, bool) Hashtbl.t = Hashtbl.create 8 in
