@@ -58,11 +58,10 @@ let apply_phys op h =
 
 type 'a t = {
   name : unit -> string;
-      (* Rendered on demand: exploration rebuilds a configuration's
-         actions at every continuation application but reads a name only
-         for a report (a crash trace, a deadlock witness, a lint), so
-         formatting it eagerly was most of what building an action
-         allocated. *)
+      (* Rendered only when read: exploration rebuilds a configuration's
+         actions at every continuation application, and reads a name
+         only for a report (a crash trace, a deadlock witness, a
+         lint). *)
   safe : State.t -> bool;
   enabled : State.t -> bool;
       (* Scheduling guard: a disabled action blocks its thread instead of

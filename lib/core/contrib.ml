@@ -15,19 +15,14 @@ let of_list bindings : t = Label.Map.of_seq (List.to_seq bindings)
 let labels (c : t) = Label.Map.keys c
 let iter f (c : t) = Label.Map.iter f c
 
-(* PCM join, pointwise; [None] on any per-label incompatibility.  A
-   side with no bindings is the unit, so the other side comes back
-   as is, not rebuilt binding by binding ([Aux.join Unit a] is [a]). *)
+(* PCM join, pointwise; [None] on any per-label incompatibility. *)
 let join (c1 : t) (c2 : t) : t option =
-  if Label.Map.is_empty c2 then Some c1
-  else if Label.Map.is_empty c1 then Some c2
-  else
-    Label.Map.fold
-      (fun l a acc ->
-        Option.bind acc (fun c ->
-            Option.map (fun joined -> Label.Map.add l joined c)
-              (Aux.join (get l c) a)))
-      c2 (Some c1)
+  Label.Map.fold
+    (fun l a acc ->
+      Option.bind acc (fun c ->
+          Option.map (fun joined -> Label.Map.add l joined c)
+            (Aux.join (get l c) a)))
+    c2 (Some c1)
 
 let join_exn c1 c2 =
   match join c1 c2 with

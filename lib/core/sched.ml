@@ -659,8 +659,7 @@ and knode =
   | KHideI of int * rt_key
 
 module Keyer = struct
-  (* A block's words read as OCaml ints, which nothing boxes (reading
-     them through [Obj.raw_field] boxed a nativeint per word).  A
+  (* A block's words read as OCaml ints, which nothing boxes.  A
      closure's closinfo word is a tagged int already.  A code pointer is
      not an OCaml value, and reading one is GC-safe here: nothing
      allocates or polls between a word's load and its comparison, so no
