@@ -141,8 +141,7 @@ let trymark sp x : bool Action.t =
 (* read_child: erases to a read; logically idle.  Requires x ∈ self so
    the result is stable (nobody else may nullify x's edges). *)
 let read_child sp x side : Ptr.t Action.t =
-  Action.make
-    ~name:(fun () -> Fmt.str "read_child(%a,%a)" Ptr.pp x Graph.pp_side side)
+  Action.make ~name:(fun () -> Fmt.str "read_child(%a,%a)" Ptr.pp x Graph.pp_side side)
     ~fp:(Footprint.reads sp)
     ~safe:(fun st ->
       match State.find sp st with
@@ -161,8 +160,7 @@ let read_child sp x side : Ptr.t Action.t =
 (* nullify: erases to a write of the node's cell; logically takes
    nullify_trans.  Requires x ∈ self. *)
 let nullify sp x side : unit Action.t =
-  Action.make
-    ~name:(fun () -> Fmt.str "nullify(%a,%a)" Ptr.pp x Graph.pp_side side)
+  Action.make ~name:(fun () -> Fmt.str "nullify(%a,%a)" Ptr.pp x Graph.pp_side side)
     ~fp:(Footprint.writes sp)
     ~safe:(fun st ->
       match State.find sp st with
