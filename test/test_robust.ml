@@ -141,6 +141,34 @@ let test_pool_quarantine () =
     check "pp_error mentions the backoff" true
       (contains (Fmt.str "%a" Pool.pp_error e) "backoff")
   | _ -> Alcotest.fail "sibling results were lost or reordered");
+  (* [until] ends the results at the first item that satisfies it, a
+     quarantine included, whatever [jobs] is; with one domain no item
+     past it runs *)
+  let ran = Atomic.make 0 in
+  let g x =
+    Atomic.incr ran;
+    f x
+  in
+  let until = function Ok v -> v = 102 | Error _ -> true in
+  let shape rs = List.map (function Ok v -> v | Error _ -> -1) rs in
+  List.iter
+    (fun jobs ->
+      Atomic.set ran 0;
+      Alcotest.(check (list int))
+        (Printf.sprintf "until: prefix through the first match (-j %d)" jobs)
+        [ 101; 102 ]
+        (shape (Pool.map_result ~jobs ~until g [ 1; 2; 3; 4; 5; 6 ]));
+      Alcotest.(check (list int))
+        (Printf.sprintf "until: a quarantine ends the prefix (-j %d)" jobs)
+        [ 104; -1 ]
+        (shape (Pool.map_result ~jobs ~until g [ 4; 3; 5; 6 ])))
+    [ 1; 3 ];
+  Atomic.set ran 0;
+  ignore (Pool.map_result ~jobs:1 ~until g [ 1; 2; 3; 4; 5; 6 ]);
+  Alcotest.(check int) "until: -j 1 runs nothing past the match" 2
+    (Atomic.get ran);
+  Alcotest.(check (list int)) "until never met: every item" [ 101; 104 ]
+    (shape (Pool.map_result ~jobs:2 ~until g [ 1; 4 ]));
   (* the all-or-nothing wrapper re-raises instead of dropping results *)
   match Pool.map ~jobs:2 f [ 1; 2; 3 ] with
   | _ -> Alcotest.fail "Pool.map must re-raise"
