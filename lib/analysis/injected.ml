@@ -299,12 +299,14 @@ let explore_scenario ?(fuel = 64) (sc : deadlock_scenario) : Crash.t list =
     | [ a; b ] -> Prog.par (prog_of_script a) (prog_of_script b)
     | _ -> invalid_arg "Injected.explore_scenario: expected two threads"
   in
-  let outcomes, _complete = Sched.explore ~fuel ~dedup:true genv mine prog in
-  List.filter_map
-    (function
-      | Sched.Crashed c when Crash.kind c = Crash.Deadlock -> Some c
-      | _ -> None)
-    outcomes
+  let deadlocks, _complete =
+    Sched.explore ~fuel ~dedup:true
+      ~f:(fun acc -> function
+        | Sched.Crashed c when Crash.kind c = Crash.Deadlock -> c :: acc
+        | _ -> acc)
+      ~init:[] genv mine prog
+  in
+  List.rev deadlocks
 
 (* All five, keyed for the CLI's self-test section and the tests. *)
 let all_variants () : (string * Diag.finding list) list =

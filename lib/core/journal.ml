@@ -804,21 +804,22 @@ let counterexamples t ~spec =
    Spec_done records. *)
 let max_journaled_cex = 32
 
+(* A writer appends a Frontier record every this many ticks. *)
+let frontier_every = 1024
+
 type writer = {
   w_j : t;
   w_spec : string;
   w_tier : string;
-  w_every : int;
   w_count : int Atomic.t;
 }
 
-let writer t ~spec ~tier ?(every = 1024) () =
-  { w_j = t; w_spec = spec; w_tier = tier; w_every = max 1 every;
-    w_count = Atomic.make 0 }
+let writer t ~spec ~tier =
+  { w_j = t; w_spec = spec; w_tier = tier; w_count = Atomic.make 0 }
 
 let writer_tick w =
   let n = Atomic.fetch_and_add w.w_count 1 + 1 in
-  if n mod w.w_every = 0 then
+  if n mod frontier_every = 0 then
     append w.w_j (Frontier { spec = w.w_spec; tier = w.w_tier; states = n })
 
 let writer_crash w crash =

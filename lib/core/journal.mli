@@ -83,8 +83,9 @@ type record =
   | Tier_begin of { spec : string; tier : string; seed : int option }
       (** a ladder rung started: resume re-enters the ladder here *)
   | Frontier of { spec : string; tier : string; states : int }
-      (** explored-configuration snapshot, appended every N scheduler
-          ticks; [states] is cumulative across the (spec, tier) attempt *)
+      (** explored-configuration snapshot, appended every 1024
+          scheduler ticks; [states] is cumulative across the (spec, tier)
+          attempt *)
   | Counterexample of { spec : string; crash : Crash.t }
       (** a found failure, journaled at discovery (before its unit
           completes) so evidence survives a kill *)
@@ -203,14 +204,13 @@ val counterexamples : t -> spec:string -> Crash.t list
 (** {1 Per-exploration writers}
 
     A cheap scoped handle the scheduler ticks once per explored
-    configuration; every [every]-th tick appends a {!Frontier} record.
+    configuration; every 1024th tick appends a {!Frontier} record.
     Crash outcomes are journaled as {!Counterexample} records at
     discovery (deduplicated per spec, capped). *)
 
 type writer
 
-val writer : t -> spec:string -> tier:string -> ?every:int -> unit -> writer
-(** [every] defaults to 1024 ticks. *)
+val writer : t -> spec:string -> tier:string -> writer
 
 val writer_tick : writer -> unit
 val writer_crash : writer -> Crash.t -> unit

@@ -1077,8 +1077,9 @@ let new_stats () =
 
 (* Depth-first exploration of all interleavings (and, when [interference]
    holds, all environment-step insertions), up to [fuel] steps per path
-   and at most [max_outcomes] recorded outcomes.  Returns the recorded
-   outcomes and a completeness flag.
+   and at most [max_outcomes] recorded outcomes.  Folds [f] from [init]
+   over the recorded outcomes in order, and returns the result with a
+   completeness flag; a cut search folds the prefix it recorded.
 
    With [dedup], configurations are fingerprinted (see {!config_key})
    and a configuration already exhausted at no less fuel and budget is
@@ -1093,8 +1094,8 @@ let new_stats () =
    discovered final state, not once per path that reaches it. *)
 let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
     ?(env_budget = max_int) ?(dedup = false) ?budget ?journal ?stats ?check
-    (genv0 : genv) (mine0 : Contrib.t) (prog : 'a Prog.t) :
-    'a outcome list * bool =
+    ~(f : 'acc -> 'a outcome -> 'acc) ~(init : 'acc) (genv0 : genv)
+    (mine0 : Contrib.t) (prog : 'a Prog.t) : 'acc * bool =
   (* Cooperative budget poll, one per explored configuration.  A trip
      aborts through the existing [Stop] path, so (a) [complete] comes
      back [false] exactly as on a [max_outcomes] cut and (b) no memo
@@ -1115,7 +1116,8 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
   in
   let mw0 = match stats with Some _ -> Gc.minor_words () | None -> 0. in
   (* Every outcome emitted so far, in order, in a buffer that doubles
-     when full: the result, and the segments memo entries replay. *)
+     when full: what [f] folds over, and the segments memo entries
+     replay. *)
   let outs = ref (Array.make 64 Diverged) in
   let count = ref 0 in
   let emit o =
@@ -1303,10 +1305,10 @@ let explore ?(fuel = 64) ?(max_outcomes = 200_000) ?(interference = true)
     end;
     s.es_minor_words <- s.es_minor_words +. (Gc.minor_words () -. mw0)
   | None -> ());
-  let rec to_list i acc =
-    if i < 0 then acc else to_list (i - 1) (!outs.(i) :: acc)
+  let rec fold i acc =
+    if i = !count then acc else fold (i + 1) (f acc !outs.(i))
   in
-  (to_list (!count - 1) [], complete)
+  (fold 0 init, complete)
 
 (* Run a single schedule chosen by [choose] (given the enabled move
    names, return the index to take); environment moves are not injected.

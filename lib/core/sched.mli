@@ -161,14 +161,20 @@ val explore :
   ?journal:Journal.writer ->
   ?stats:explore_stats ->
   ?check:('a -> State.t -> Crash.t option) ->
+  f:('acc -> 'a outcome -> 'acc) ->
+  init:'acc ->
   genv ->
   Contrib.t ->
   'a Prog.t ->
-  'a outcome list * bool
+  'acc * bool
 (** Depth-first exploration of all interleavings and (bounded by
     [env_budget]) all environment-step insertions, up to [fuel] steps
-    per path.  Returns the outcomes and a completeness flag ([false]
-    when [max_outcomes] was hit).
+    per path.  Once the search ends, folds [f] from [init] over the
+    outcomes in the order the search emitted them (memo replays
+    included), and returns the result with a completeness flag ([false]
+    when [max_outcomes] was hit or [budget] tripped; the fold then
+    covers the outcomes emitted before the cut).  No list of outcomes is
+    built: a caller that wants one folds into it.
 
     With [dedup] (default [false]), a configuration already exhausted at
     no less remaining fuel and environment budget is pruned by replaying

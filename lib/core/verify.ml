@@ -357,7 +357,7 @@ let unit_cached (jctx : jctx option) ~index
 
 let jwriter_of =
   Option.map (fun { jc_j; jc_spec; jc_tier } ->
-      Journal.writer jc_j ~spec:jc_spec ~tier:jc_tier ())
+      Journal.writer jc_j ~spec:jc_spec ~tier:jc_tier)
 
 (* One exhaustive attempt explores every schedule of [prog] (with
    environment interference at all world labels unless [interference]
@@ -400,29 +400,30 @@ let exhaustive_attempt ~fuel ~max_outcomes ~interference ~env_budget
              (Fmt.str "postcondition violated in final state %a" State.pp
                 final))
     in
-    let outs, compl =
-      Sched.explore ~fuel ~max_outcomes ~interference ~env_budget ~dedup
-        ?budget ?journal:jwriter ~stats ~check genv mine prog
-    in
     let outcomes = ref 0 in
     let diverged = ref 0 in
-    let failures = ref [] in
-    List.iter
-      (fun out ->
-        incr outcomes;
-        match out with
-        | Sched.Finished _ -> ()
-        | Sched.Crashed c ->
-          if List.length !failures < max_failures then
-            failures := c :: !failures
-        | Sched.Diverged -> incr diverged)
-      outs;
+    let tally failures out =
+      incr outcomes;
+      match out with
+      | Sched.Finished _ -> failures
+      | Sched.Crashed c ->
+        if List.length failures < max_failures then c :: failures
+        else failures
+      | Sched.Diverged ->
+        incr diverged;
+        failures
+    in
+    let failures, compl =
+      Sched.explore ~fuel ~max_outcomes ~interference ~env_budget ~dedup
+        ?budget ?journal:jwriter ~stats ~check ~f:tally ~init:[] genv mine
+        prog
+    in
     ( {
         Journal.si_outcomes = !outcomes;
         si_diverged = !diverged;
         si_complete = compl;
         si_states = stats.Sched.es_configs;
-        si_failures = List.rev !failures;
+        si_failures = List.rev failures;
       },
       Some (expl_of_sched stats) )
   in

@@ -349,8 +349,6 @@ let drain t =
         Condition.broadcast t.cv
       end)
 
-let stop t = drain t
-
 (* --- The executor ------------------------------------------------------ *)
 
 let notify_waiters t job frame =

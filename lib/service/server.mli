@@ -80,6 +80,3 @@ val drain : t -> unit
 (** Stop accepting submissions (they shed with reason ["draining"]),
     finish queued work, then let {!run} return.  Idempotent; also
     triggered by SIGTERM/SIGINT when [sc_signals] is set. *)
-
-val stop : t -> unit
-(** Alias of {!drain} — the in-process shutdown used by tests. *)

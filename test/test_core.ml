@@ -196,7 +196,10 @@ let test_sched_sequential () =
     let* b' = act (Span.trymark l (p 1)) in
     ret (b, b')
   in
-  let outs, complete = Sched.explore ~interference:false genv mine prog in
+  let outs, complete =
+    Sched.explore ~interference:false ~f:(fun acc o -> o :: acc) ~init:[]
+      genv mine prog
+  in
   check "complete" true complete;
   checki "single outcome" 1 (List.length outs);
   match outs with
@@ -218,7 +221,10 @@ let test_sched_race () =
   let prog =
     Prog.par (Prog.act (Span.trymark l (p 1))) (Prog.act (Span.trymark l (p 1)))
   in
-  let outs, complete = Sched.explore ~interference:false genv mine prog in
+  let outs, complete =
+    Sched.explore ~interference:false ~f:(fun acc o -> o :: acc) ~init:[]
+      genv mine prog
+  in
   check "complete" true complete;
   checki "two interleavings" 2 (List.length outs);
   List.iter
@@ -245,11 +251,12 @@ let test_interference_changes_outcomes () =
   let results interference =
     let interfere = if interference then World.labels w else [] in
     let genv, mine = Sched.genv_of_state ~interfere w st in
-    let outs, _ = Sched.explore ~interference genv mine prog in
-    List.filter_map
-      (function Sched.Finished (r, _) -> Some r | _ -> None)
-      outs
-    |> List.sort_uniq Stdlib.compare
+    let results, _ =
+      Sched.explore ~interference
+        ~f:(fun acc -> function Sched.Finished (r, _) -> r :: acc | _ -> acc)
+        ~init:[] genv mine prog
+    in
+    List.sort_uniq Stdlib.compare results
   in
   Alcotest.(check (list bool)) "no interference: wins" [ true ] (results false);
   Alcotest.(check (list bool))
@@ -270,7 +277,9 @@ let test_hide_roundtrip () =
   in
   let genv, mine = Sched.genv_of_state ~interfere:[ pv ] w st in
   let prog = Span.span_root ~pv ~sp (p 1) in
-  let outs, complete = Sched.explore genv mine prog in
+  let outs, complete =
+    Sched.explore ~f:(fun acc o -> o :: acc) ~init:[] genv mine prog
+  in
   check "complete" true complete;
   check "all finished, heap returned marked" true
     (outs <> []

@@ -44,11 +44,15 @@ let equiv ?(fuel = 12) ?(env_budget = 1) ~interference ~show w st prog =
   let interfere = World.labels w in
   let genv, mine = Sched.genv_of_state ~interfere w st in
   let naive, c_naive =
-    Sched.explore ~fuel ~interference ~env_budget ~dedup:false genv mine prog
+    Sched.explore ~fuel ~interference ~env_budget ~dedup:false
+      ~f:(fun acc o -> o :: acc)
+      ~init:[] genv mine prog
   in
   let genv, mine = Sched.genv_of_state ~interfere w st in
   let memo, c_memo =
-    Sched.explore ~fuel ~interference ~env_budget ~dedup:true genv mine prog
+    Sched.explore ~fuel ~interference ~env_budget ~dedup:true
+      ~f:(fun acc o -> o :: acc)
+      ~init:[] genv mine prog
   in
   Alcotest.(check bool) "completeness agrees" c_naive c_memo;
   Alcotest.(check (list string))
@@ -226,11 +230,12 @@ let test_ordered_outcomes () =
           (fun max_outcomes ->
             let run dedup =
               let genv, mine = Sched.genv_of_state ~interfere w st in
-              let outs, complete =
-                Sched.explore ~fuel:16 ~env_budget:1 ~max_outcomes ~dedup genv
-                  mine treiber_push_pop
+              let shown, complete =
+                Sched.explore ~fuel:16 ~env_budget:1 ~max_outcomes ~dedup
+                  ~f:(fun acc o -> show o :: acc)
+                  ~init:[] genv mine treiber_push_pop
               in
-              (List.map show outs, complete)
+              (List.rev shown, complete)
             in
             let naive = run false in
             if not (snd naive) then incr cut;
@@ -265,7 +270,9 @@ let test_names_on_demand () =
     let stats = Sched.new_stats () in
     let genv, mine = Sched.genv_of_state ~interfere:(World.labels w) w st in
     let outs, _ =
-      Sched.explore ~fuel:12 ~env_budget:1 ~dedup:true ~stats genv mine prog
+      Sched.explore ~fuel:12 ~env_budget:1 ~dedup:true ~stats
+        ~f:(fun acc o -> o :: acc)
+        ~init:[] genv mine prog
     in
     (outs, stats)
   in

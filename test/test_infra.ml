@@ -71,10 +71,15 @@ let test_contrib () =
 
 let hide_crash_reason prog st w =
   let genv, mine = Sched.genv_of_state w st in
-  let outs, _ = Sched.explore ~interference:false genv mine prog in
-  List.find_map
-    (function Sched.Crashed c -> Some (Crash.message c) | _ -> None)
-    outs
+  let first_crash, _ =
+    Sched.explore ~interference:false
+      ~f:(fun acc o ->
+        match (acc, o) with
+        | None, Sched.Crashed c -> Some (Crash.message c)
+        | _ -> acc)
+      ~init:None genv mine prog
+  in
+  first_crash
 
 let test_hide_bad_decoration () =
   let pv = Label.make "ti_priv1" in
@@ -204,12 +209,13 @@ let test_outcome_cap () =
          ~other:(Aux.set Ptr.Set.empty))
   in
   let genv, mine = Sched.genv_of_state w st in
-  let outs, complete =
-    Sched.explore ~interference:false ~max_outcomes:3 genv mine
-      (Span.span sp (p 1))
+  let outcomes, complete =
+    Sched.explore ~interference:false ~max_outcomes:3
+      ~f:(fun n _ -> n + 1)
+      ~init:0 genv mine (Span.span sp (p 1))
   in
   check "capped" false complete;
-  Alcotest.(check int) "exactly the cap" 3 (List.length outs)
+  Alcotest.(check int) "exactly the cap" 3 outcomes
 
 let suite =
   [

@@ -54,10 +54,13 @@ let test_adequacy () =
     let genv, mine = Sched.genv_of_state w st in
     let tree = Tree.denote ~fuel:16 genv mine prog in
     let genv, mine = Sched.genv_of_state w st in
-    let outs, complete = Sched.explore ~fuel:16 ~interference:false genv mine prog in
+    let outs, complete =
+      Sched.explore ~fuel:16 ~interference:false ~f:(fun acc o -> o :: acc)
+        ~init:[] genv mine prog
+    in
     check "complete" true complete;
     check "adequate" true
-      (Tree.agrees_with_explore ~result_equal:( = ) tree outs)
+      (Tree.agrees_with_explore ~result_equal:( = ) tree (List.rev outs))
   in
   run (Prog.act (Span.trymark sp (p 1)));
   run
@@ -77,10 +80,12 @@ let test_adequacy_interference () =
   in
   let genv, mine = Sched.genv_of_state ~interfere w st in
   let outs, _ =
-    Sched.explore ~fuel:8 ~interference:true ~env_budget:1 genv mine prog
+    Sched.explore ~fuel:8 ~interference:true ~env_budget:1
+      ~f:(fun acc o -> o :: acc)
+      ~init:[] genv mine prog
   in
   check "adequate under interference" true
-    (Tree.agrees_with_explore ~result_equal:( = ) tree outs);
+    (Tree.agrees_with_explore ~result_equal:( = ) tree (List.rev outs));
   (* interference adds branches: more than the lone self step *)
   check "env branches present" true (Tree.size tree > 3)
 

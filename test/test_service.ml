@@ -50,7 +50,7 @@ let with_server ?(resume = false) ?queue_bound ?(job_delay_s = 0.) ?rate ?dir
   let th = Thread.create Server.run t in
   Fun.protect
     ~finally:(fun () ->
-      Server.stop t;
+      Server.drain t;
       Thread.join th)
     (fun () ->
       check "daemon answers ping" true (Client.wait_ready ~socket ());
@@ -288,16 +288,30 @@ let timed_submit ?qos cn ~case =
 
 (* The first submission at each tier is a cold job (three distinct
    digests), and a near-free row's cold verdict must not wait out a
-   progress period: the median stays well under the 0.25 s period. *)
+   progress period: the median stays well under the 0.25 s period.
+   FC-stack's triple is also one of Flat combiner's, so on a daemon
+   that has verified Flat combiner its first submission is a memo; on a
+   journal of its own it explores. *)
 let test_serve_cold_then_memo () =
   with_server ~tag:"memo" (fun ~socket ~dir:_ ->
       let cn = Client.connect ~socket in
-      let v, gold_s = timed_submit cn ~case:"CAS-lock" in
-      check "cold verdict is not a memo" false v.Client.v_memo;
-      check "cold run adds durable units" true (v.Client.v_fresh_units > 0);
-      check "verdict ok" true (v.Client.v_status = 0);
+      let cold case =
+        let v, s = timed_submit cn ~case in
+        check "cold verdict is not a memo" false v.Client.v_memo;
+        check "cold run adds durable units" true (v.Client.v_fresh_units > 0);
+        check "verdict ok" true (v.Client.v_status = 0);
+        s
+      in
+      let memoized case =
+        match Client.submit cn ~case with
+        | Ok v ->
+          check "second submission is memoized" true v.Client.v_memo;
+          check "memoized verdict adds no units" true
+            (v.Client.v_fresh_units = 0)
+        | Error e -> failf "memo submit: %a" Client.pp_submit_error e
+      in
       let cold_s =
-        gold_s
+        cold "CAS-lock"
         :: List.map
              (fun qos ->
                let v, s = timed_submit ~qos cn ~case:"CAS-lock" in
@@ -310,12 +324,9 @@ let test_serve_cold_then_memo () =
         failf "cold median %.3f s (gold/silver/bronze: %s): held for a tick"
           median
           (String.concat "/" (List.map (Printf.sprintf "%.3f") cold_s));
-      (match Client.submit cn ~case:"CAS-lock" with
-      | Ok v ->
-        check "second submission is memoized" true v.Client.v_memo;
-        check "memoized verdict adds no units" true
-          (v.Client.v_fresh_units = 0)
-      | Error e -> failf "memo submit: %a" Client.pp_submit_error e);
+      memoized "CAS-lock";
+      ignore (cold "FC-stack");
+      memoized "FC-stack";
       (match Client.status cn with
       | Ok v ->
         check "status carries the schema version" true
@@ -602,8 +613,23 @@ let test_overload_demotes_and_sheds () =
             cn)
           [ "Ticketed lock"; "Pair snapshot" ]
       in
-      (* bronze under pressure has no lower rung: structured shed *)
+      (* health shows the pressure: the executor holds one filler and
+         the other waits in the queue *)
       let shed_cn = Client.connect ~socket in
+      let load () =
+        match Client.health shed_cn with
+        | Ok frame ->
+          let int_field k = Option.bind (Json.member k frame) Json.to_int in
+          (int_field "inflight", int_field "queue_depth")
+        | Error e -> failf "health: %a" Client.pp_submit_error e
+      in
+      let deadline = Unix.gettimeofday () +. 2. in
+      while load () <> (Some 1, Some 1) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.005
+      done;
+      check "health: one job in flight, one queued" true
+        (load () = (Some 1, Some 1));
+      (* bronze under pressure has no lower rung: structured shed *)
       (match Client.submit ~qos:Protocol.Bronze shed_cn ~case:"CAS-lock" with
       | Error (Client.Shed reason) ->
         check "bronze shed with the overload reason" true (reason = "overload")
